@@ -22,9 +22,7 @@ from .errors import (
 from .simplex import (
     Distribution,
     Refinement,
-    conditional,
     make_distribution,
-    marginals,
     sample_refinement,
     sample_simplex,
     uniform_distribution,

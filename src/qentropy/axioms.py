@@ -181,6 +181,52 @@ def _worst(witnesses: list[tuple[float, dict]], keep: int = 3) -> tuple[dict, ..
     return tuple(w for _, w in witnesses[:keep])
 
 
+class _Residuals:
+    """Running max residual, sample count and over-threshold witnesses of one
+    check.  Used as a context manager around the sample loop: an
+    EvaluationError ends the loop and record() then reports not_applicable.
+    """
+
+    def __init__(self, name: str, q_values: Sequence[float], threshold: float,
+                 start: float = 0.0) -> None:
+        self.name = name
+        self.q_values = q_values
+        self.threshold = threshold
+        self.max_residual = start
+        self.count = 0
+        self.witnesses: list[tuple[float, dict]] = []
+        self.error: EvaluationError | None = None
+
+    def __enter__(self) -> "_Residuals":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if isinstance(exc, EvaluationError):
+            self.error = exc
+            return True
+        return False
+
+    def add(self, residual: float, witness: Callable[[], dict]) -> None:
+        """Count one sample; witness() is built only over the threshold."""
+        self.count += 1
+        if residual > self.max_residual:
+            self.max_residual = residual
+        if residual > self.threshold:
+            self.witnesses.append((residual, witness()))
+
+    def record(self, q_values: Sequence[float] | None = None,
+               sample_count: int | None = None,
+               details: dict | None = None) -> CheckRecord:
+        if self.error is not None:
+            return _not_applicable(self.name, self.q_values, self.threshold,
+                                   f"evaluation failed: {self.error}")
+        return _record(
+            self.name, self.q_values if q_values is None else q_values,
+            self.count if sample_count is None else sample_count,
+            self.max_residual, self.threshold, _worst(self.witnesses), details,
+        )
+
+
 def _is_tsallis_alpha(f: EntropyFamily, q_grid: Sequence[float]) -> bool:
     """True when alpha(q) coincides with 1 - q on the grid."""
     try:
@@ -203,32 +249,24 @@ def check_maximality(
 ) -> CheckRecord:
     """Entropy of random simplex points never exceeds the uniform value."""
     name = "maximality"
-    threshold = 1e-10
-    witnesses: list[tuple[float, dict]] = []
-    max_residual = -math.inf
-    total = 0
-    try:
+    with _Residuals(name, q_grid, 1e-10, start=-math.inf) as acc:
         for n in n_set:
             points = sample_simplex(n, samples, _check_seed(seed, name) + n)
+            uniform = uniform_distribution(n)
             for q in q_grid:
-                s_uniform = generalized_entropy(uniform_distribution(n), f, q).value
+                s_uniform = generalized_entropy(uniform, f, q).value
                 for d in points:
-                    residual = generalized_entropy(d, f, q).value - s_uniform
-                    total += 1
-                    if residual > max_residual:
-                        max_residual = residual
-                    if residual > threshold:
-                        witnesses.append((residual, {
-                            "q": q,
-                            "n": n,
-                            "probs": list(d.probs),
-                            "entropy": generalized_entropy(d, f, q).value,
-                            "uniform_entropy": s_uniform,
-                            "residual": residual,
-                        }))
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, threshold, f"evaluation failed: {exc}")
-    return _record(name, q_grid, total, max_residual, threshold, _worst(witnesses))
+                    entropy = generalized_entropy(d, f, q).value
+                    residual = entropy - s_uniform
+                    acc.add(residual, lambda: {
+                        "q": q,
+                        "n": n,
+                        "probs": list(d.probs),
+                        "entropy": entropy,
+                        "uniform_entropy": s_uniform,
+                        "residual": residual,
+                    })
+    return acc.record()
 
 
 def check_expandability(
@@ -241,19 +279,13 @@ def check_expandability(
     The same comparison at q != 1 is reported informationally in details,
     since the axiom is only stated at q = 1.
     """
-    name = "expandability"
-    threshold = 1e-12
-    max_residual = 0.0
-    witnesses: list[tuple[float, dict]] = []
+    acc = _Residuals("expandability", (1.0,), 1e-12)
     for d in dists:
         gap = abs(
             generalized_entropy(d.append_zero(), f, 1.0).value
             - generalized_entropy(d, f, 1.0).value
         )
-        if gap > max_residual:
-            max_residual = gap
-        if gap > threshold:
-            witnesses.append((gap, {"probs": list(d.probs), "gap": gap}))
+        acc.add(gap, lambda: {"probs": list(d.probs), "gap": gap})
     off_shannon = {}
     for q in q_grid:
         if q == 1.0:
@@ -268,10 +300,7 @@ def check_expandability(
             except EvaluationError:
                 gaps.append(None)
         off_shannon[repr(q)] = gaps
-    return _record(
-        name, (1.0,), len(dists), max_residual, threshold, _worst(witnesses),
-        details={"off_shannon_gaps_informational": off_shannon},
-    )
+    return acc.record(details={"off_shannon_gaps_informational": off_shannon})
 
 
 def _additivity_residual(
@@ -315,27 +344,16 @@ def check_generalized_additivity(
     if mode not in ("suyari", "generalized"):
         raise InputError(f"unknown mode {mode!r}")
     name = "shannon_additivity" if mode == "suyari" else "generalized_additivity"
-    threshold = 1e-10
-    max_residual = 0.0
-    witnesses: list[tuple[float, dict]] = []
-    total = 0
-    try:
+    with _Residuals(name, q_grid, 1e-10) as acc:
         for r in refinements:
             for q in q_grid:
                 residual = _additivity_residual(f, r, q, mode)
-                total += 1
-                if residual > max_residual:
-                    max_residual = residual
-                if residual > threshold:
-                    witnesses.append((residual, {
-                        "q": q,
-                        "rows": [list(row) for row in r.rows],
-                        "residual": residual,
-                    }))
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, threshold, f"evaluation failed: {exc}")
-    return _record(name, q_grid, total, max_residual, threshold, _worst(witnesses),
-                   details={"mode": mode})
+                acc.add(residual, lambda: {
+                    "q": q,
+                    "rows": [list(row) for row in r.rows],
+                    "residual": residual,
+                })
+    return acc.record(details={"mode": mode})
 
 
 def check_pseudoadditivity(
@@ -347,13 +365,9 @@ def check_pseudoadditivity(
     """I(p1 p2) equals the pseudoadditive composition of I(p1) and I(p2),
     relative to 1 + |I(p1 p2)|."""
     name = "pseudoadditivity"
-    threshold = 1e-10
     rng = np.random.default_rng(_check_seed(seed, name))
     pairs = 1.0 - rng.random((samples, 2))  # values in (0, 1]
-    max_residual = 0.0
-    witnesses: list[tuple[float, dict]] = []
-    total = 0
-    try:
+    with _Residuals(name, q_grid, 1e-10) as acc:
         for q in q_grid:
             for p1, p2 in pairs:
                 p1, p2 = float(p1), float(p2)
@@ -364,16 +378,10 @@ def check_pseudoadditivity(
                     information_content(f, q, p2),
                 )
                 residual = abs(joint - composed) / (1.0 + abs(joint))
-                total += 1
-                if residual > max_residual:
-                    max_residual = residual
-                if residual > threshold:
-                    witnesses.append((residual, {
-                        "q": q, "p1": p1, "p2": p2, "residual": residual,
-                    }))
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, threshold, f"evaluation failed: {exc}")
-    return _record(name, q_grid, total, max_residual, threshold, _worst(witnesses))
+                acc.add(residual, lambda: {
+                    "q": q, "p1": p1, "p2": p2, "residual": residual,
+                })
+    return acc.record()
 
 
 def check_shannon_limit(
@@ -391,11 +399,8 @@ def check_shannon_limit(
     are merely Hoelder continuous approach the limit under an oscillating
     envelope.
     """
-    name = "shannon_limit"
-    max_residual = 0.0
-    witnesses: list[tuple[float, dict]] = []
     gap_detail = {}
-    try:
+    with _Residuals("shannon_limit", [10.0 ** (-j) for j in scales], tol) as acc:
         for d in dists:
             s1 = generalized_entropy(d, f, 1.0).value
             gaps = []
@@ -414,42 +419,58 @@ def check_shannon_limit(
             final_rel = gaps[-1] / (1.0 + s1)
             decreasing = gaps[-1] <= gaps[0] or gaps[-1] == 0.0
             residual = final_rel if decreasing else math.inf
-            if residual > max_residual:
-                max_residual = residual
-            if residual > tol:
-                witnesses.append((residual, {
-                    "probs": list(d.probs),
-                    "gaps": gaps,
-                    "final_relative_gap": final_rel,
-                }))
-    except EvaluationError as exc:
-        return _not_applicable(name, [10.0 ** (-j) for j in scales], tol,
-                               f"evaluation failed: {exc}")
-    if math.isinf(max_residual):
-        max_residual = 1e300  # keep the report JSON-parseable
-    return _record(
-        name, [1.0 + 10.0 ** (-j) for j in scales], len(dists) * len(scales),
-        max_residual, tol, _worst(witnesses), details={"gaps": gap_detail},
-    )
+            acc.add(residual, lambda: {
+                "probs": list(d.probs),
+                "gaps": gaps,
+                "final_relative_gap": final_rel,
+            })
+    if math.isinf(acc.max_residual):
+        acc.max_residual = 1e300  # keep the report JSON-parseable
+    return acc.record(q_values=[1.0 + 10.0 ** (-j) for j in scales],
+                      sample_count=len(dists) * len(scales),
+                      details={"gaps": gap_detail})
 
 
-def _one_sided_deviation_sequences(
+def _limit_at_1(
+    name: str,
     func: Callable[[float], float],
     target: float,
     scales: Sequence[int],
-) -> tuple[list[float], list[float], list[float], list[float]]:
-    """Evaluate func at 1 +/- 10^-j and return (plus values, plus deviations,
-    minus values, minus deviations) from the target."""
-    plus_vals, plus_devs, minus_vals, minus_devs = [], [], [], []
-    for j in scales:
-        h = 10.0 ** (-j)
-        plus = func(1.0 + h)
-        minus = func(1.0 - h)
-        plus_vals.append(plus)
-        minus_vals.append(minus)
-        plus_devs.append(abs(plus - target))
-        minus_devs.append(abs(minus - target))
-    return plus_vals, plus_devs, minus_vals, minus_devs
+    tol: float,
+    value_name: str,
+    detail_name: str,
+) -> CheckRecord:
+    """func at q = 1 +/- 10^-j approaches target from both sides.
+
+    Pass requires the deviation at the deepest scale below tol on both
+    sides, without net growth from the first scale.  The witness names the
+    deepest values value_name + "_above"/"_below"; details hold, per scale
+    and side, the deviations when detail_name is "deviations", else the
+    values.
+    """
+    hs = [10.0 ** (-j) for j in scales]
+    try:
+        pairs = [(func(1.0 + h), func(1.0 - h)) for h in hs]
+    except (EvaluationError, ZeroDivisionError) as exc:
+        return _not_applicable(name, [], tol, f"evaluation failed: {exc}")
+    above = [a for a, _ in pairs]
+    below = [b for _, b in pairs]
+    dev_above = [abs(v - target) for v in above]
+    dev_below = [abs(v - target) for v in below]
+    converged = (
+        dev_above[-1] <= dev_above[0] and dev_below[-1] <= dev_below[0]
+    ) or (dev_above[-1] == 0.0 and dev_below[-1] == 0.0)
+    max_residual = max(dev_above[-1], dev_below[-1]) if converged else 1e300
+    witnesses = [{
+        "target": target,
+        f"{value_name}_above": above[-1],
+        f"{value_name}_below": below[-1],
+    }] if max_residual > tol else []
+    shown = (dev_above, dev_below) if detail_name == "deviations" else (above, below)
+    return _record(
+        name, [1.0 + h for h in hs], 2 * len(hs), max_residual, tol, witnesses,
+        details={f"{detail_name}_above": shown[0], f"{detail_name}_below": shown[1]},
+    )
 
 
 def check_alpha_phi_limit(
@@ -462,36 +483,12 @@ def check_alpha_phi_limit(
     Pass requires the deviation |ratio + k| at the deepest scale to be below
     tol on both sides and not to exceed the first-scale deviation.
     """
-    name = "alpha_phi_limit"
 
     def ratio(q: float) -> float:
         return f.eval_alpha(q) / f.eval_phi(q)
 
-    try:
-        plus_vals, plus_devs, minus_vals, minus_devs = _one_sided_deviation_sequences(
-            ratio, -f.k, scales
-        )
-    except (EvaluationError, ZeroDivisionError) as exc:
-        return _not_applicable(name, [], tol, f"evaluation failed: {exc}")
-    converged = (
-        plus_devs[-1] <= plus_devs[0] and minus_devs[-1] <= minus_devs[0]
-    ) or (plus_devs[-1] == 0.0 and minus_devs[-1] == 0.0)
-    max_residual = max(plus_devs[-1], minus_devs[-1]) if converged else 1e300
-    witnesses = []
-    if max_residual > tol:
-        witnesses.append((max_residual, {
-            "target": -f.k,
-            "ratio_above": plus_vals[-1],
-            "ratio_below": minus_vals[-1],
-        }))
-    return _record(
-        name, [1.0 + 10.0 ** (-j) for j in scales], 2 * len(scales),
-        max_residual, tol, _worst(witnesses),
-        details={
-            "deviations_above": plus_devs,
-            "deviations_below": minus_devs,
-        },
-    )
+    return _limit_at_1("alpha_phi_limit", ratio, -f.k, scales, tol,
+                       "ratio", "deviations")
 
 
 def check_phi_derivative_at_1(
@@ -515,31 +512,8 @@ def check_phi_derivative_at_1(
         h = q - 1.0  # exact for q near 1 (Sterbenz)
         return (phi(q) - phi_1) / h
 
-    try:
-        plus_vals, plus_devs, minus_vals, minus_devs = _one_sided_deviation_sequences(
-            quotient, 1.0 / k, scales
-        )
-    except EvaluationError as exc:
-        return _not_applicable(name, [], tol, f"evaluation failed: {exc}")
-    converged = (
-        plus_devs[-1] <= plus_devs[0] and minus_devs[-1] <= minus_devs[0]
-    ) or (plus_devs[-1] == 0.0 and minus_devs[-1] == 0.0)
-    max_residual = max(plus_devs[-1], minus_devs[-1]) if converged else 1e300
-    witnesses = []
-    if max_residual > tol:
-        witnesses.append((max_residual, {
-            "target": 1.0 / k,
-            "quotient_above": plus_vals[-1],
-            "quotient_below": minus_vals[-1],
-        }))
-    return _record(
-        name, [1.0 + 10.0 ** (-j) for j in scales], 2 * len(scales),
-        max_residual, tol, _worst(witnesses),
-        details={
-            "quotients_above": plus_vals,
-            "quotients_below": minus_vals,
-        },
-    )
+    return _limit_at_1(name, quotient, 1.0 / k, scales, tol,
+                       "quotient", "quotients")
 
 
 def check_sign_condition(
@@ -579,12 +553,8 @@ def check_constraint_region(
     The residual is the largest distance from the admissible interval;
     per-q compliance is recorded for cross-validation against convexity.
     """
-    name = "constraint_region"
-    max_excess = 0.0
-    witnesses: list[tuple[float, dict]] = []
     per_q = []
-    total = 0
-    try:
+    with _Residuals("constraint_region", q_grid, tol) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
                 continue
@@ -599,19 +569,11 @@ def check_constraint_region(
                 per_q.append({"q": q, "phi": phi_q, "alpha": alpha_q,
                               "comply": None})
                 continue
-            total += 1
-            comply = excess <= tol
             per_q.append({"q": q, "phi": phi_q, "alpha": alpha_q,
-                          "excess": excess, "comply": comply})
-            if excess > max_excess:
-                max_excess = excess
-            if not comply:
-                witnesses.append((excess, {"q": q, "phi": phi_q,
-                                           "alpha": alpha_q, "excess": excess}))
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, tol, f"evaluation failed: {exc}")
-    return _record(name, q_grid, total, max_excess, tol, _worst(witnesses),
-                   details={"per_q": per_q})
+                          "excess": excess, "comply": excess <= tol})
+            acc.add(excess, lambda: {"q": q, "phi": phi_q,
+                                     "alpha": alpha_q, "excess": excess})
+    return acc.record(details={"per_q": per_q})
 
 
 def check_convexity_of_I(
@@ -627,37 +589,25 @@ def check_convexity_of_I(
     not fall below -tol (divided differences generalize the second central
     difference to the unequal spacing of a geometric grid).
     """
-    name = "convexity_of_I"
     if grid_size < 8:
         raise InputError("grid_size must be >= 8")
     ps = [math.exp(t) for t in np.linspace(math.log(p_min), 0.0, grid_size)]
     ps[-1] = 1.0
-    max_residual = -math.inf
-    witnesses: list[tuple[float, dict]] = []
     per_q = []
-    total = 0
-    try:
+    with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
         for q in q_grid:
             values = [information_content(f, q, p) for p in ps]
-            worst = -math.inf
+            witnesses_before = len(acc.witnesses)
             for (x1, v1), (x2, v2), (x3, v3) in zip(
                 zip(ps, values), zip(ps[1:], values[1:]), zip(ps[2:], values[2:])
             ):
                 dd = ((v3 - v2) / (x3 - x2) - (v2 - v1) / (x2 - x1)) / (x3 - x1)
-                total += 1
-                if -dd > worst:
-                    worst = -dd
-                if -dd > tol:
-                    witnesses.append((-dd, {
-                        "q": q, "p": x2, "second_divided_difference": dd,
-                    }))
-            per_q.append({"q": q, "comply": worst <= tol})
-            if worst > max_residual:
-                max_residual = worst
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, tol, f"evaluation failed: {exc}")
-    return _record(name, q_grid, total, max_residual, tol, _worst(witnesses),
-                   details={"per_q": per_q})
+                acc.add(-dd, lambda: {
+                    "q": q, "p": x2, "second_divided_difference": dd,
+                })
+            # q complies when none of its differences went over tol.
+            per_q.append({"q": q, "comply": len(acc.witnesses) == witnesses_before})
+    return acc.record(details={"per_q": per_q})
 
 
 def check_continuity(
@@ -706,11 +656,8 @@ def check_continuity(
                 prev_v = v1
     except EvaluationError as exc:
         return _not_applicable(name, (), threshold, f"evaluation failed: {exc}")
-    witnesses = []
-    if max_slope > threshold:
-        witnesses.append((max_slope, dict(where, slope=max_slope)))
-    return _record(name, (), 3 * (points - 1), max_slope, threshold,
-                   _worst(witnesses),
+    witnesses = [dict(where, slope=max_slope)] if max_slope > threshold else []
+    return _record(name, (), 3 * (points - 1), max_slope, threshold, witnesses,
                    details={"note": "heuristic slope bound, not conclusive"})
 
 
@@ -772,10 +719,8 @@ def derivative_limit_probe(
     mismatch = max(abs(nearby_plus[-1] - direct[-1]),
                    abs(nearby_minus[-1] - direct[-1]))
     residual = mismatch / (1.0 + abs(direct[-1]))
-    witnesses = []
-    if residual > tol:
-        witnesses.append((residual, dict(details)))
-    return _record(name, (x0,), 3 * scales, residual, tol, _worst(witnesses),
+    witnesses = [dict(details)] if residual > tol else []
+    return _record(name, (x0,), 3 * scales, residual, tol, witnesses,
                    details=details)
 
 

@@ -40,6 +40,7 @@ from .weierstrass import (
     eval_W,
     eval_phi_counterexample,
     nondifferentiability_probe,
+    quotient_spread,
 )
 
 EXIT_OK = 0
@@ -160,15 +161,10 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     if args.depth < 2:
         raise InputError("--depth must be >= 2")
     params = WeierstrassParams(args.a, args.b, args.eps)
-    off_x = args.off_q - 1.0
-
-    quotients_at_1 = []
-    for m in range(1, args.depth + 1):
-        h_nominal = float(args.b) ** (-m)
-        q = 1.0 + h_nominal
-        h = q - 1.0
-        quotients_at_1.append((h, eval_phi_counterexample(params, args.k, q) / h))
-    probe = nondifferentiability_probe(params, off_x, args.depth)
+    quotients_at_1 = difference_quotients(
+        lambda q: eval_phi_counterexample(params, args.k, q), 1.0, args.b, args.depth
+    )
+    probe = nondifferentiability_probe(params, args.off_q - 1.0, args.depth)
 
     lines = ["m,scale,quotient_at_1,quotient_at_off1"]
     for m, ((h, q1), (_, qoff)) in enumerate(zip(quotients_at_1, probe.quotients), 1):
@@ -176,10 +172,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     control = difference_quotients(lambda t: t * t, 0.0, args.b, args.depth)
-    control_spread = (
-        max(d for _, d in control[-(args.depth // 2):])
-        - min(d for _, d in control[-(args.depth // 2):])
-    )
+    control_spread = quotient_spread(control)
     estimate = quotients_at_1[-1][1]
     print(f"phi'(1) ~ {_fmt(estimate, args.digits)} (target {_fmt(1.0 / args.k, args.digits)})")
     print(f"off-1 spread at q={args.off_q!r}: {_fmt(probe.spread, 6)} "

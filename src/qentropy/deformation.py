@@ -24,7 +24,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -34,20 +35,6 @@ from .errors import (
     OutOfTableRange,
 )
 from .weierstrass import WeierstrassParams, eval_phi_counterexample
-
-_KINDS = (
-    "tsallis_phi",
-    "negated_phi",
-    "one_minus_q_alpha",
-    "power_alpha",
-    "power_phi",
-    "weierstrass_phi",
-    "tabulated",
-)
-
-# Kinds whose formula contains the entropy unit constant; they receive the
-# family-level k when a family is assembled from a JSON spec.
-SCALED_KINDS = ("tsallis_phi", "power_phi", "weierstrass_phi")
 
 FAMILY_POINT_TOL = 1e-12
 
@@ -62,53 +49,35 @@ class DeformationFunction:
     wparams: WeierstrassParams | None = None
     table: tuple[tuple[float, float], ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise InvalidFamilySpec(f"unknown kind {self.kind!r}")
+
     def __call__(self, q: float) -> float:
         if not q > 0.0:
             raise DomainError(f"q must be positive, got {q!r}")
-        d = q - 1.0
-        if self.kind == "tsallis_phi":
-            return d / self.k
-        if self.kind in ("negated_phi", "one_minus_q_alpha"):
-            return -d
-        if self.kind == "power_alpha":
-            # (1-q)|q-1|^(gamma-1) written as -sign(d)|d|^gamma, which is
-            # also well defined at q = 1 for gamma < 1.
-            return -math.copysign(abs(d) ** self.gamma, d)
-        if self.kind == "power_phi":
-            return math.copysign(abs(d) ** self.gamma, d) / self.k
-        if self.kind == "weierstrass_phi":
-            return eval_phi_counterexample(self.wparams, self.k, q)
-        if self.kind == "tabulated":
-            return self._interpolate(q)
-        raise InvalidFamilySpec(f"unknown kind {self.kind!r}")
-
-    def _interpolate(self, q: float) -> float:
-        qs = [p[0] for p in self.table]
-        if q < qs[0] or q > qs[-1]:
-            raise OutOfTableRange(
-                f"q={q!r} outside tabulated range [{qs[0]!r}, {qs[-1]!r}]"
-            )
-        i = bisect_right(qs, q)
-        if i == len(qs):
-            return self.table[-1][1]
-        q0, v0 = self.table[i - 1]
-        q1, v1 = self.table[i]
-        return v0 + (v1 - v0) * (q - q0) / (q1 - q0)
+        return _KINDS[self.kind].evaluate(self, q)
 
     def to_spec(self) -> dict:
         """JSON-able description; the k of scaled kinds lives at family level."""
-        if self.kind == "weierstrass_phi":
-            return {
-                "kind": self.kind,
-                "a": self.wparams.a,
-                "b": self.wparams.b,
-                "eps": self.wparams.eps,
-            }
-        if self.kind in ("power_alpha", "power_phi"):
-            return {"kind": self.kind, "gamma": self.gamma}
-        if self.kind == "tabulated":
-            return {"kind": self.kind, "points": [list(p) for p in self.table]}
-        return {"kind": self.kind}
+        spec = {"kind": self.kind}
+        for name in _KINDS[self.kind].fields:
+            spec[name] = _FIELDS[name].read(self)
+        return spec
+
+
+def _interpolate(f: DeformationFunction, q: float) -> float:
+    table = f.table
+    if q < table[0][0] or q > table[-1][0]:
+        raise OutOfTableRange(
+            f"q={q!r} outside tabulated range [{table[0][0]!r}, {table[-1][0]!r}]"
+        )
+    i = bisect_right(table, q, key=itemgetter(0))
+    if i == len(table):
+        return table[-1][1]
+    q0, v0 = table[i - 1]
+    q1, v1 = table[i]
+    return v0 + (v1 - v0) * (q - q0) / (q1 - q0)
 
 
 def tsallis_phi(k: float = 1.0) -> DeformationFunction:
@@ -153,6 +122,56 @@ def tabulated(points: Sequence[Sequence[float]]) -> DeformationFunction:
         if not q1 > q0:
             raise InvalidFamilySpec("tabulated q grid must be strictly increasing")
     return DeformationFunction("tabulated", table=pts)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """evaluate(f, q) for q > 0; the spec fields besides "kind", in the
+    order the factory takes them; scaled kinds also take the family k."""
+
+    evaluate: Callable[[DeformationFunction, float], float]
+    fields: tuple[str, ...]
+    scaled: bool
+    make: Callable[..., DeformationFunction]
+
+
+@dataclass(frozen=True)
+class _Field:
+    """A spec field: its value in a DeformationFunction and what a spec
+    may hold there ("positive", "number", "integer" or "points")."""
+
+    read: Callable[[DeformationFunction], object]
+    expect: str
+    default: object = None
+
+
+_KINDS = {
+    "tsallis_phi": _Kind(lambda f, q: (q - 1.0) / f.k, (), True, tsallis_phi),
+    "negated_phi": _Kind(lambda f, q: -(q - 1.0), (), False, negated_phi),
+    "one_minus_q_alpha": _Kind(
+        lambda f, q: -(q - 1.0), (), False, one_minus_q_alpha),
+    # (1-q)|q-1|^(gamma-1) written as -sign(d)|d|^gamma, which is also well
+    # defined at q = 1 for gamma < 1.
+    "power_alpha": _Kind(
+        lambda f, q: -math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0),
+        ("gamma",), False, power_alpha),
+    "power_phi": _Kind(
+        lambda f, q: math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0) / f.k,
+        ("gamma",), True, power_phi),
+    "weierstrass_phi": _Kind(
+        lambda f, q: eval_phi_counterexample(f.wparams, f.k, q),
+        ("a", "b", "eps"), True,
+        lambda a, b, eps, k: weierstrass_phi(WeierstrassParams(a, b, eps), k)),
+    "tabulated": _Kind(_interpolate, ("points",), False, tabulated),
+}
+
+_FIELDS = {
+    "gamma": _Field(lambda f: f.gamma, "positive"),
+    "a": _Field(lambda f: f.wparams.a, "number"),
+    "b": _Field(lambda f: f.wparams.b, "integer"),
+    "eps": _Field(lambda f: f.wparams.eps, "number", 1e-12),
+    "points": _Field(lambda f: [list(p) for p in f.table], "points"),
+}
 
 
 @dataclass(frozen=True)
@@ -227,53 +246,57 @@ def weierstrass_family(
     return EntropyFamily(weierstrass_phi(params, k), one_minus_q_alpha(), k)
 
 
+_EXPECTED = {
+    "positive": "a positive number",
+    "number": "a number",
+    "integer": "an integer",
+    "points": "a list of (q, value) pairs",
+}
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spec_value(value, expect: str, label: str):
+    """A spec value checked against its _Field.expect; bool is no number."""
+    if expect == "points":
+        valid = _is_list(value) and all(
+            _is_list(p) and len(p) == 2 and all(map(_is_number, p)) for p in value)
+    elif expect == "integer":
+        valid = _is_number(value) and isinstance(value, int)
+    else:
+        valid = _is_number(value) and (expect == "number" or value > 0)
+    if not valid:
+        raise InvalidFamilySpec(f"{label} must be {_EXPECTED[expect]}, got {value!r}")
+    return float(value) if expect in ("positive", "number") else value
+
+
 def _function_from_spec(spec: Mapping, field: str, k: float) -> DeformationFunction:
     if not isinstance(spec, Mapping):
         raise InvalidFamilySpec(f"field {field!r} must be an object")
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidFamilySpec(
-            f"field {field!r}: unknown kind {kind!r}, expected one of {_KINDS}"
+            f"field {field!r}: unknown kind {kind!r}, expected one of {tuple(_KINDS)}"
         )
-    if kind == "tsallis_phi":
-        return tsallis_phi(k)
-    if kind == "negated_phi":
-        return negated_phi()
-    if kind == "one_minus_q_alpha":
-        return one_minus_q_alpha()
-    if kind in ("power_alpha", "power_phi"):
-        gamma = spec.get("gamma")
-        if not isinstance(gamma, (int, float)) or not gamma > 0:
-            raise InvalidFamilySpec(
-                f"field {field!r}: 'gamma' must be a positive number, got {gamma!r}"
-            )
-        if kind == "power_alpha":
-            return power_alpha(float(gamma))
-        return power_phi(float(gamma), k)
-    if kind == "weierstrass_phi":
-        for name in ("a", "b"):
-            if name not in spec:
-                raise InvalidFamilySpec(f"field {field!r}: missing '{name}'")
-        a = spec["a"]
-        b = spec["b"]
-        eps = spec.get("eps", 1e-12)
-        if not isinstance(a, (int, float)):
-            raise InvalidFamilySpec(f"field {field!r}: 'a' must be a number")
-        if not isinstance(b, int):
-            raise InvalidFamilySpec(f"field {field!r}: 'b' must be an integer")
-        if not isinstance(eps, (int, float)):
-            raise InvalidFamilySpec(f"field {field!r}: 'eps' must be a number")
-        return weierstrass_phi(WeierstrassParams(float(a), b, float(eps)), k)
-    # tabulated
-    points = spec.get("points")
-    if not isinstance(points, Sequence) or isinstance(points, (str, bytes)):
-        raise InvalidFamilySpec(f"field {field!r}: 'points' must be a list of pairs")
-    try:
-        return tabulated([(p[0], p[1]) for p in points])
-    except (TypeError, IndexError) as exc:
-        raise InvalidFamilySpec(
-            f"field {field!r}: 'points' entries must be (q, value) pairs"
-        ) from exc
+    args = {}
+    for name in _KINDS[kind].fields:
+        spec_field = _FIELDS[name]
+        if name in spec:
+            args[name] = _spec_value(spec[name], spec_field.expect,
+                                     f"field {field!r}: {name!r}")
+        elif spec_field.default is not None:
+            args[name] = spec_field.default
+        else:
+            raise InvalidFamilySpec(f"field {field!r}: missing {name!r}")
+    if _KINDS[kind].scaled:
+        args["k"] = k
+    return _KINDS[kind].make(**args)
 
 
 def family_from_spec(spec: Mapping) -> EntropyFamily:
@@ -288,9 +311,7 @@ def family_from_spec(spec: Mapping) -> EntropyFamily:
         raise InvalidFamilySpec("family spec must be a JSON object")
     if "k" not in spec:
         raise InvalidFamilySpec("field 'k': missing")
-    k = spec["k"]
-    if isinstance(k, bool) or not isinstance(k, (int, float)) or not k > 0:
-        raise InvalidFamilySpec(f"field 'k': must be a positive number, got {k!r}")
+    k = _spec_value(spec["k"], "positive", "field 'k':")
     if "phi" not in spec:
         raise InvalidFamilySpec("field 'phi': missing")
     if "alpha" not in spec:
@@ -298,6 +319,6 @@ def family_from_spec(spec: Mapping) -> EntropyFamily:
     validate = spec.get("validate", True)
     if not isinstance(validate, bool):
         raise InvalidFamilySpec(f"field 'validate': must be a boolean, got {validate!r}")
-    phi = _function_from_spec(spec["phi"], "phi", float(k))
-    alpha = _function_from_spec(spec["alpha"], "alpha", float(k))
-    return EntropyFamily(phi, alpha, float(k), validated=validate)
+    phi = _function_from_spec(spec["phi"], "phi", k)
+    alpha = _function_from_spec(spec["alpha"], "alpha", k)
+    return EntropyFamily(phi, alpha, k, validated=validate)

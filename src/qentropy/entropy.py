@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .deformation import EntropyFamily
 from .errors import (
@@ -44,21 +45,20 @@ _CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy in units of k, tagged with q and the producing family."""
+    """An entropy in units of k, tagged with its q."""
 
     value: float
     q: float
-    family_id: str | None
 
 
-def _finish(value: float, q: float, family_id: str | None, validated: bool) -> EntropyValue:
+def _finish(value: float, q: float, validated: bool) -> EntropyValue:
     if -_CLAMP <= value < 0.0:
         value = 0.0
     elif value < -_CLAMP and validated:
         raise NegativeEntropy(
             f"entropy {value!r} at q={q!r}; a valid family cannot go negative"
         )
-    return EntropyValue(value, q, family_id)
+    return EntropyValue(value, q)
 
 
 def _check_q(q: float) -> None:
@@ -85,52 +85,62 @@ def _phi_at(f: EntropyFamily, q: float) -> float:
     return phi_q
 
 
-def _deformed_value(probs: tuple[float, ...], offset: float, phi_q: float) -> float:
-    """(1 - sum p^(1 + offset)) / phi, with the cancellation-free numerator.
-
-    The exponent enters only through its offset from 1 (offset = q - 1 for
-    the exponent-q form, offset = -alpha(q) in general); forming 1 + offset
-    and subtracting 1 again would round tiny offsets away.
-    """
-    num = -math.fsum(
-        p * math.expm1(offset * math.log(p)) for p in probs if p > 0.0
-    )
-    return num / phi_q
-
-
 def shannon_entropy(d: Distribution, k: float = 1.0) -> EntropyValue:
     """Shannon entropy -k sum p ln p."""
     if k <= 0.0:
         raise NonPositiveK(f"k must be positive, got {k!r}")
     value = -k * _plogp_sum(d.probs)
-    return _finish(value, 1.0, None, validated=True)
+    return _finish(value, 1.0, validated=True)
 
 
-def suyari_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
-    """Exponent-q entropy (1 - sum p^q) / phi(q).
+def _q_offset(d: Distribution, f: EntropyFamily, q: float) -> float:
+    # The exponent q is positive, so zero probabilities always drop out.
+    return q - 1.0
 
-    Inside the crossover window the Shannon limit -k sum p ln p is returned,
-    which is the correct limit for any family with phi'(1) = 1/k.
+
+def _alpha_offset(d: Distribution, f: EntropyFamily, q: float) -> float:
+    offset = -f.eval_alpha(q)
+    _require_zeros_allowed(d.probs, 1.0 + offset)
+    return offset
+
+
+def _entropy(
+    d: Distribution,
+    f: EntropyFamily,
+    q: float,
+    offset: Callable[[Distribution, EntropyFamily, float], float],
+) -> EntropyValue:
+    """(1 - sum p^(1 + offset)) / phi(q), with the cancellation-free numerator.
+
+    The exponent enters only through its offset from 1 (offset = q - 1 for
+    the exponent-q form, offset = -alpha(q) in general); forming 1 + offset
+    and subtracting 1 again would round tiny offsets away.  Inside the
+    crossover window the Shannon limit -k sum p ln p is returned, which is
+    the correct limit for any family with alpha(q)/phi(q) -> -k (for the
+    exponent-q form: phi'(1) = 1/k).
     """
     _check_q(q)
     if abs(q - 1.0) < Q_CROSSOVER:
         value = -f.k * _plogp_sum(d.probs)
     else:
-        value = _deformed_value(d.probs, q - 1.0, _phi_at(f, q))
-    return _finish(value, q, f.family_id, f.validated)
+        off = offset(d, f, q)
+        phi_q = _phi_at(f, q)
+        value = -math.fsum(
+            p * math.expm1(off * math.log(p)) for p in d.probs if p > 0.0
+        ) / phi_q
+    return _finish(value, q, f.validated)
+
+
+def suyari_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
+    """Exponent-q entropy (1 - sum p^q) / phi(q); the Shannon limit inside
+    the crossover window."""
+    return _entropy(d, f, q, _q_offset)
 
 
 def generalized_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
     """(1 - sum p^(1 - alpha(q))) / phi(q); equals suyari_entropy when
     alpha(q) = 1 - q, on the identical code path."""
-    _check_q(q)
-    if abs(q - 1.0) < Q_CROSSOVER:
-        value = -f.k * _plogp_sum(d.probs)
-    else:
-        offset = -f.eval_alpha(q)
-        _require_zeros_allowed(d.probs, 1.0 + offset)
-        value = _deformed_value(d.probs, offset, _phi_at(f, q))
-    return _finish(value, q, f.family_id, f.validated)
+    return _entropy(d, f, q, _alpha_offset)
 
 
 def information_content(f: EntropyFamily, q: float, p: float) -> float:
@@ -171,7 +181,7 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
         # sum; using it directly keeps the identity with generalized_entropy
         # exact through the crossover window.
         value = -f.k * _plogp_sum(d.probs)
-        return _finish(value, q, f.family_id, f.validated)
+        return _finish(value, q, f.validated)
     alpha_q = f.eval_alpha(q)
     e = 1.0 - alpha_q
     _require_zeros_allowed(d.probs, e)
@@ -187,4 +197,4 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
             terms.append((p - p**e) / phi_q)
         else:
             terms.append(p**e * math.expm1(z) / phi_q)
-    return _finish(math.fsum(terms), q, f.family_id, f.validated)
+    return _finish(math.fsum(terms), q, f.validated)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,15 @@ def _as_prob_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
     return entries
 
 
+def _total(entries: Iterable[float], what: str) -> float:
+    """Correctly rounded sum of finite nonnegative entries; a sum beyond the
+    float range is an input error, not an arithmetic one."""
+    try:
+        return math.fsum(entries)
+    except OverflowError as exc:
+        raise InputError(f"{what} entries sum beyond the float range") from exc
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Immutable probability vector; validates the simplex invariants."""
@@ -52,7 +61,7 @@ class Distribution:
 
     def __post_init__(self) -> None:
         probs = _as_prob_tuple(self.probs, "distribution")
-        total = math.fsum(probs)
+        total = _total(probs, "distribution")
         if abs(total - 1.0) > SUM_TOL:
             raise NotNormalized(
                 f"entries sum to {total!r}, not 1 within {SUM_TOL}"
@@ -82,7 +91,7 @@ def make_distribution(values: Sequence[float], mode: str = "strict") -> Distribu
     if mode not in ("strict", "normalize"):
         raise InputError(f"unknown mode {mode!r}, expected 'strict' or 'normalize'")
     entries = _as_prob_tuple(values, "distribution")
-    total = math.fsum(entries)
+    total = _total(entries, "distribution")
     if mode == "strict":
         if abs(total - 1.0) > SUM_TOL:
             raise NotNormalized(
@@ -110,7 +119,7 @@ class Refinement:
             raise InputError("refinement must have at least one row")
         rows = tuple(_as_prob_tuple(row, f"refinement row {i}")
                      for i, row in enumerate(self.rows))
-        total = math.fsum(c for row in rows for c in row)
+        total = _total((c for row in rows for c in row), "refinement")
         if abs(total - 1.0) > SUM_TOL:
             raise NotNormalized(
                 f"cells sum to {total!r}, not 1 within {SUM_TOL}"
@@ -120,9 +129,6 @@ class Refinement:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def row_lengths(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
 
     def flatten(self) -> Distribution:
         """All cells in row-major order, as a Distribution."""
@@ -145,14 +151,6 @@ class Refinement:
         if p_i <= 0.0:
             raise ZeroMarginal(f"row {i} has zero marginal probability")
         return Distribution(tuple(c / p_i for c in row))
-
-
-def marginals(r: Refinement) -> Distribution:
-    return r.marginals()
-
-
-def conditional(r: Refinement, i: int) -> Distribution:
-    return r.conditional(i)
 
 
 def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:

@@ -3,6 +3,12 @@ import json
 import pytest
 
 from qentropy.cli import main
+from qentropy.weierstrass import (
+    WeierstrassParams,
+    difference_quotients,
+    eval_phi_counterexample,
+    nondifferentiability_probe,
+)
 
 TSALLIS_SPEC = {
     "phi": {"kind": "tsallis_phi"},
@@ -80,6 +86,12 @@ class TestEval:
                    "--dist", "[2,1,1]", "--mode", "normalize"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "0.625"
+
+    def test_overflowing_sum_exits_2(self, tsallis_file, capsys):
+        rc = main(["eval", "--family", tsallis_file, "--q", "2",
+                   "--dist", "[1e308,1e308]", "--mode", "normalize"])
+        assert rc == 2
+        assert "float range" in capsys.readouterr().err
 
     def test_evaluation_error_exits_3(self, tmp_path, capsys):
         # phi crosses zero at q = 3, away from 1; the family must be
@@ -176,6 +188,19 @@ class TestCounterexample:
         assert abs(last - 1.0) < 0.02
         summary = capsys.readouterr().out
         assert "phi'(1)" in summary and "target 1" in summary
+
+    def test_csv_columns_match_library(self, tmp_path):
+        out = tmp_path / "ce.csv"
+        rc = main(["counterexample", "--k", "2", "--depth", "5", "--off-q", "1.3",
+                   "--output", str(out)])
+        assert rc == 0
+        params = WeierstrassParams(0.5, 13, 1e-12)
+        at_1 = difference_quotients(
+            lambda q: eval_phi_counterexample(params, 2.0, q), 1.0, 13, 5)
+        off = nondifferentiability_probe(params, 1.3 - 1.0, 5).quotients
+        expected = [f"{m},{h!r},{d1!r},{d2!r}"
+                    for m, ((h, d1), (_, d2)) in enumerate(zip(at_1, off), 1)]
+        assert out.read_text().splitlines()[1:] == expected
 
     def test_constraint_violation_exits_2(self, capsys):
         rc = main(["counterexample", "--a", "0.5", "--b", "3"])

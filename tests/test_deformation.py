@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qentropy.deformation import (
+    _KINDS,
+    DeformationFunction,
     EntropyFamily,
     family_from_spec,
     negated_phi,
@@ -183,6 +185,28 @@ class TestFamilySpec:
         for family in (tsallis_family(2.0), weierstrass_family(), power_family(2.0)):
             again = family_from_spec(family.to_spec())
             assert again == family
+        # One instance per kind, in the phi slot of a k = 2 family so that
+        # the scaled kinds carry the family k.
+        examples = {
+            "tsallis_phi": tsallis_phi(2.0),
+            "negated_phi": negated_phi(),
+            "one_minus_q_alpha": one_minus_q_alpha(),
+            "power_alpha": power_alpha(0.5),
+            "power_phi": power_phi(0.5, k=2.0),
+            "weierstrass_phi": weierstrass_phi(WeierstrassParams(0.5, 13, 1e-10), k=2.0),
+            "tabulated": tabulated([(0.25, -1.0), (1.0, 0.0), (4.0, 2.5)]),
+        }
+        assert set(examples) == set(_KINDS)
+        for kind, func in examples.items():
+            family = EntropyFamily(func, one_minus_q_alpha(), 2.0, validated=False)
+            again = family_from_spec(family.to_spec())
+            assert again == family, kind
+            for q in (0.5, 1.0, 1.3, 3.0):
+                assert again.eval_phi(q) == family.eval_phi(q), (kind, q)
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(InvalidFamilySpec):
+            DeformationFunction("nope")
 
     @pytest.mark.parametrize("spec,field", [
         ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 0}, "k"),
@@ -190,6 +214,12 @@ class TestFamilySpec:
         ({"phi": {"kind": "nope"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "phi"),
         ({"phi": {"kind": "power_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "gamma"),
         ({"phi": {"kind": "weierstrass_phi", "a": 0.5}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "b"),
+        # JSON booleans are not numbers, in any numeric field.
+        ({"phi": {"kind": "power_phi", "gamma": True}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "'gamma'"),
+        ({"phi": {"kind": "weierstrass_phi", "a": True, "b": 13}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "'a'"),
+        ({"phi": {"kind": "weierstrass_phi", "a": 0.5, "b": 13, "eps": True}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "'eps'"),
+        ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "tabulated", "points": [[0.5, "x"], [2.0, -1.0]]}, "k": 1.0}, "'points'"),
+        ({"phi": {"kind": ["tsallis_phi"]}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "phi"),
     ])
     def test_diagnostics_name_offending_field(self, spec, field):
         with pytest.raises(InvalidFamilySpec) as err:

@@ -12,9 +12,7 @@ from qentropy.errors import (
 from qentropy.simplex import (
     Distribution,
     Refinement,
-    conditional,
     make_distribution,
-    marginals,
     sample_refinement,
     sample_simplex,
     uniform_distribution,
@@ -54,6 +52,16 @@ class TestMakeDistribution:
         d = make_distribution([1 / 3] * 3, mode="strict")
         assert math.fsum(d.probs) == 1.0
 
+    def test_overflowing_sum_is_input_error(self):
+        # Each entry is finite but their sum is not; that is bad input,
+        # not an arithmetic failure.
+        with pytest.raises(InputError, match="float range"):
+            make_distribution([1e308, 1e308], mode="normalize")
+        with pytest.raises(InputError, match="float range"):
+            Distribution((1e308, 1e308))
+        with pytest.raises(InputError, match="float range"):
+            Refinement(((1e308,), (1e308,)))
+
     def test_uniform(self):
         u = uniform_distribution(4)
         assert u.probs == (0.25, 0.25, 0.25, 0.25)
@@ -62,24 +70,24 @@ class TestMakeDistribution:
 class TestRefinement:
     def test_marginals_hand_sum(self):
         r = Refinement(((0.5,), (0.25, 0.25)))
-        assert marginals(r).probs == (0.5, 0.5)
+        assert r.marginals().probs == (0.5, 0.5)
 
     def test_marginals_single_cell(self):
-        assert marginals(Refinement(((1.0,),))).probs == (1.0,)
+        assert Refinement(((1.0,),)).marginals().probs == (1.0,)
 
     def test_marginals_zero_row_permitted(self):
         r = Refinement(((0.0, 0.0), (0.6, 0.4)))
-        assert marginals(r).probs == (0.0, 1.0)
+        assert r.marginals().probs == (0.0, 1.0)
 
     def test_conditional_hand_division(self):
         r = Refinement(((0.5,), (0.25, 0.25)))
-        assert conditional(r, 1).probs == (0.5, 0.5)
-        assert conditional(r, 0).probs == (1.0,)
+        assert r.conditional(1).probs == (0.5, 0.5)
+        assert r.conditional(0).probs == (1.0,)
 
     def test_conditional_zero_marginal(self):
         r = Refinement(((0.0, 0.0), (0.6, 0.4)))
         with pytest.raises(ZeroMarginal):
-            conditional(r, 0)
+            r.conditional(0)
 
     def test_conditional_index_out_of_range(self):
         r = Refinement(((0.5,), (0.5,)))
