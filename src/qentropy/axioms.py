@@ -7,10 +7,10 @@ aggregates into an AxiomReport whose JSON serialization is byte-identical
 for identical (family, config, seed).
 
 Thresholds fall in two classes: algebraic identities are held to 1e-10
-(machine precision with headroom) while genuine limits get looser,
-config-overridable tolerances, because a family built on a nowhere
-differentiable deformation converges to its q -> 1 limits at a Hoelder
-rate rather than linearly.  All thresholds are recorded in the report.
+(machine precision with headroom) while genuine limits get looser
+tolerances, because a family built on a nowhere differentiable deformation
+converges to its q -> 1 limits at a Hoelder rate rather than linearly.
+Each threshold is a constant of its check, recorded in the report.
 
 Randomized checks derive an independent stream from (seed, check name) so
 checks can run in any order, or concurrently, without perturbing results.
@@ -57,60 +57,27 @@ CHECK_NAMES = (
     "derivative_limit_probe",
 )
 
-_DEFAULT_Q_GRID = (0.5, 0.9, 1.0, 1.1, 2.0, 3.0)
 # 50 points over (0, 4) avoiding q = 1 exactly; shared by the region,
 # convexity, and sign checks so their per-q verdicts are comparable.
-_DEFAULT_REGION_GRID = tuple(
+REGION_Q_GRID = tuple(
     float(q) for q in np.linspace(0.1, 3.9, 50) if abs(q - 1.0) > 1e-9
 )
-_DEFAULT_DISTS = (
-    (1.0,),
-    (0.5, 0.5),
-    (0.5, 0.25, 0.25),
-    (0.25, 0.25, 0.25, 0.25),
-)
+# The q -> 1 limit checks probe |q - 1| = 10^-j down to 1e-15, the smallest
+# offset from 1.0 that doubles resolve cleanly; quotients always divide by
+# the representable offset.
+_LIMIT_SCALES = tuple(range(3, 16))
+_LIMIT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Knobs for the axiom checks; defaults run in seconds on one core."""
+    """The report's sample sizes and seed; defaults run in seconds on one core."""
 
-    q_grid: tuple[float, ...] = _DEFAULT_Q_GRID
-    region_q_grid: tuple[float, ...] = _DEFAULT_REGION_GRID
+    q_grid: tuple[float, ...] = (0.5, 0.9, 1.0, 1.1, 2.0, 3.0)
     dims: tuple[int, ...] = (2, 3, 5)
-    dists: tuple[tuple[float, ...], ...] = _DEFAULT_DISTS
     seed: int = 0
     maximality_samples: int = 200
     pseudo_samples: int = 400
-    refinement_count: int = 60
-    refinement_rows: int = 4
-    refinement_max_m: int = 4
-    # Algebraic identities.
-    identity_tol: float = 1e-10
-    shannon_exact_tol: float = 1e-12
-    # Limits.  The derivative scales go down to 1e-15, the smallest offset
-    # from 1.0 that doubles resolve cleanly; quotients always divide by the
-    # representable offset.  shannon_limit stops at 1e-6 because the entropy
-    # code switches to the exact Shannon limit below |q-1| = 1e-9 and deeper
-    # scales would test the crossover, not the family.
-    limit_tol: float = 1e-4
-    derivative_scales: tuple[int, ...] = tuple(range(3, 16))
-    shannon_limit_tol: float = 1e-2
-    shannon_limit_scales: tuple[int, ...] = (2, 3, 4, 5, 6)
-    # Pointwise conditions.
-    sign_grid_points: int = 80
-    region_tol: float = 1e-12
-    convexity_tol: float = 1e-9
-    convexity_grid_size: int = 32
-    convexity_p_min: float = 1e-3
-    # Continuity heuristic: max discrete slope along q and along a simplex
-    # path, compared against continuity_scale.  Indicative only.
-    continuity_points: int = 200
-    continuity_scale: float = 100.0
-    # Derivative-limit probe (illustrative).
-    probe_point: float = 1.3
-    probe_scales: int = 10
-    probe_tol: float = 1e-3
 
 
 @dataclass
@@ -230,7 +197,7 @@ class _Residuals:
 def _is_tsallis_alpha(f: EntropyFamily, q_grid: Sequence[float]) -> bool:
     """True when alpha(q) coincides with 1 - q on the grid."""
     try:
-        return all(abs(f.eval_alpha(q) - (1.0 - q)) <= 1e-9 for q in q_grid)
+        return all(abs(f.alpha(q) - (1.0 - q)) <= 1e-9 for q in q_grid)
     except QentropyError:
         return False
 
@@ -318,7 +285,7 @@ def _additivity_residual(
         exponent = q
         s_of = lambda d: suyari_entropy(d, f, q).value
     else:
-        exponent = 1.0 - f.eval_alpha(q)
+        exponent = 1.0 - f.alpha(q)
         s_of = lambda d: generalized_entropy(d, f, q).value
     if exponent <= 0.0 and any(p == 0.0 for p in marg.probs):
         raise EvaluationError(
@@ -387,8 +354,6 @@ def check_pseudoadditivity(
 def check_shannon_limit(
     f: EntropyFamily,
     dists: Sequence[Distribution],
-    scales: Sequence[int] = (2, 3, 4, 5, 6),
-    tol: float = 1e-2,
 ) -> CheckRecord:
     """S_q approaches S_1 as q -> 1 from both sides.
 
@@ -397,10 +362,15 @@ def check_shannon_limit(
     first) and the final gap to be below tol * (1 + S_1).  Strict per-step
     monotonicity is reported in details but not required: deformations that
     are merely Hoelder continuous approach the limit under an oscillating
-    envelope.
+    envelope.  The scales stop at 1e-6 because the entropy code switches to
+    the exact Shannon limit below |q-1| = 1e-9 and deeper scales would test
+    the crossover, not the family.
     """
+    scales = (2, 3, 4, 5, 6)
+    tol = 1e-2
     gap_detail = {}
-    with _Residuals("shannon_limit", [10.0 ** (-j) for j in scales], tol) as acc:
+    with _Residuals("shannon_limit", [1.0 + 10.0 ** (-j) for j in scales],
+                    tol) as acc:
         for d in dists:
             s1 = generalized_entropy(d, f, 1.0).value
             gaps = []
@@ -426,8 +396,7 @@ def check_shannon_limit(
             })
     if math.isinf(acc.max_residual):
         acc.max_residual = 1e300  # keep the report JSON-parseable
-    return acc.record(q_values=[1.0 + 10.0 ** (-j) for j in scales],
-                      sample_count=len(dists) * len(scales),
+    return acc.record(sample_count=len(dists) * len(scales),
                       details={"gaps": gap_detail})
 
 
@@ -435,20 +404,20 @@ def _limit_at_1(
     name: str,
     func: Callable[[float], float],
     target: float,
-    scales: Sequence[int],
-    tol: float,
     value_name: str,
     detail_name: str,
 ) -> CheckRecord:
-    """func at q = 1 +/- 10^-j approaches target from both sides.
+    """func at q = 1 +/- 10^-j, j in _LIMIT_SCALES, approaches target from
+    both sides.
 
-    Pass requires the deviation at the deepest scale below tol on both
+    Pass requires the deviation at the deepest scale below _LIMIT_TOL on both
     sides, without net growth from the first scale.  The witness names the
     deepest values value_name + "_above"/"_below"; details hold, per scale
     and side, the deviations when detail_name is "deviations", else the
     values.
     """
-    hs = [10.0 ** (-j) for j in scales]
+    tol = _LIMIT_TOL
+    hs = [10.0 ** (-j) for j in _LIMIT_SCALES]
     try:
         pairs = [(func(1.0 + h), func(1.0 - h)) for h in hs]
     except (EvaluationError, ZeroDivisionError) as exc:
@@ -473,47 +442,39 @@ def _limit_at_1(
     )
 
 
-def check_alpha_phi_limit(
-    f: EntropyFamily,
-    scales: Sequence[int] = tuple(range(3, 16)),
-    tol: float = 1e-4,
-) -> CheckRecord:
+def check_alpha_phi_limit(f: EntropyFamily) -> CheckRecord:
     """alpha(q)/phi(q) -> -k as q -> 1, from both sides.
 
     Pass requires the deviation |ratio + k| at the deepest scale to be below
-    tol on both sides and not to exceed the first-scale deviation.
+    _LIMIT_TOL on both sides and not to exceed the first-scale deviation.
     """
 
     def ratio(q: float) -> float:
-        return f.eval_alpha(q) / f.eval_phi(q)
+        return f.alpha(q) / f.phi(q)
 
-    return _limit_at_1("alpha_phi_limit", ratio, -f.k, scales, tol,
-                       "ratio", "deviations")
+    return _limit_at_1("alpha_phi_limit", ratio, -f.k, "ratio", "deviations")
 
 
 def check_phi_derivative_at_1(
     phi: Callable[[float], float],
     k: float,
-    scales: Sequence[int] = tuple(range(3, 16)),
-    tol: float = 1e-4,
 ) -> CheckRecord:
     """One-sided difference quotients of phi at q = 1 converge to 1/k.
 
     Quotients divide by the representable offset (1 + h) - 1, which is exact
     near 1, so deep scales stay meaningful.  Pass requires the deviation at
-    the deepest scale below tol on both sides, without net growth.
+    the deepest scale below _LIMIT_TOL on both sides, without net growth.
     """
     name = "phi_derivative_at_1"
     phi_1 = phi(1.0)
     if abs(phi_1) > 1e-12:
-        return _not_applicable(name, [], tol, f"phi(1) = {phi_1!r}, expected 0")
+        return _not_applicable(name, [], _LIMIT_TOL, f"phi(1) = {phi_1!r}, expected 0")
 
     def quotient(q: float) -> float:
         h = q - 1.0  # exact for q near 1 (Sterbenz)
         return (phi(q) - phi_1) / h
 
-    return _limit_at_1(name, quotient, 1.0 / k, scales, tol,
-                       "quotient", "quotients")
+    return _limit_at_1(name, quotient, 1.0 / k, "quotient", "quotients")
 
 
 def check_sign_condition(
@@ -533,7 +494,7 @@ def check_sign_condition(
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
                 continue
-            phi_q = f.eval_phi(q)
+            phi_q = f.phi(q)
             if phi_q == 0.0 or math.copysign(1.0, phi_q) != math.copysign(1.0, q - 1.0):
                 violations += 1
                 witnesses.append((abs(phi_q) + 1.0, {"q": q, "phi": phi_q}))
@@ -546,20 +507,20 @@ def check_sign_condition(
 def check_constraint_region(
     f: EntropyFamily,
     q_grid: Sequence[float],
-    tol: float = 1e-12,
 ) -> CheckRecord:
     """alpha lies in (-inf, 0] where phi > 0 and in [0, 1] where phi < 0.
 
     The residual is the largest distance from the admissible interval;
     per-q compliance is recorded for cross-validation against convexity.
     """
+    tol = 1e-12
     per_q = []
     with _Residuals("constraint_region", q_grid, tol) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
                 continue
-            phi_q = f.eval_phi(q)
-            alpha_q = f.eval_alpha(q)
+            phi_q = f.phi(q)
+            alpha_q = f.alpha(q)
             if phi_q > 0.0:
                 excess = max(0.0, alpha_q)
             elif phi_q < 0.0:
@@ -579,19 +540,15 @@ def check_constraint_region(
 def check_convexity_of_I(
     f: EntropyFamily,
     q_grid: Sequence[float],
-    grid_size: int = 32,
-    p_min: float = 1e-3,
-    tol: float = 1e-9,
 ) -> CheckRecord:
     """Information content is convex in p for every fixed q.
 
-    Second divided differences of I_q over a geometric grid in (0, 1] must
-    not fall below -tol (divided differences generalize the second central
-    difference to the unequal spacing of a geometric grid).
+    Second divided differences of I_q over a 32-point geometric grid in
+    [1e-3, 1] must not fall below -1e-9 (divided differences generalize the
+    second central difference to the unequal spacing of a geometric grid).
     """
-    if grid_size < 8:
-        raise InputError("grid_size must be >= 8")
-    ps = [math.exp(t) for t in np.linspace(math.log(p_min), 0.0, grid_size)]
+    tol = 1e-9
+    ps = [math.exp(t) for t in np.linspace(math.log(1e-3), 0.0, 32)]
     ps[-1] = 1.0
     per_q = []
     with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
@@ -610,21 +567,18 @@ def check_convexity_of_I(
     return acc.record(details={"per_q": per_q})
 
 
-def check_continuity(
-    f: EntropyFamily,
-    points: int = 200,
-    scale: float = 100.0,
-) -> CheckRecord:
+def check_continuity(f: EntropyFamily) -> CheckRecord:
     """Heuristic continuity probe, not a proof.
 
     Sweeps S_q over a dense q grid for fixed distributions and over a
-    simplex segment for fixed q, and compares the largest discrete slope
-    against ``scale * k`` (entropy, and hence its slope, carries units of
-    k).  A jump discontinuity would blow the slope up as the grid refines;
+    simplex segment for fixed q, 200 points each, and compares the largest
+    discrete slope against ``100 k`` (entropy, and hence its slope, carries
+    units of k).  A jump discontinuity would blow the slope up as the grid refines;
     smooth and Hoelder-continuous families stay far below.
     """
     name = "continuity_probe"
-    threshold = scale * f.k
+    points = 200
+    threshold = 100.0 * f.k
     d_fixed = Distribution((0.5, 0.25, 0.25))
     qs = np.linspace(0.1, 4.0, points)
     max_slope = 0.0
@@ -664,8 +618,6 @@ def check_continuity(
 def derivative_limit_probe(
     g: Callable[[float], float],
     x0: float,
-    scales: int = 10,
-    tol: float = 1e-3,
 ) -> CheckRecord:
     """Numerical illustration of the mean-value argument behind taking
     derivative limits: estimate g'(x0) directly (symmetric quotients) and
@@ -677,8 +629,8 @@ def derivative_limit_probe(
     happens for a nowhere differentiable deformation away from q = 1.
     """
     name = "derivative_limit_probe"
-    if scales < 4:
-        raise InputError("scales must be >= 4")
+    scales = 10
+    tol = 1e-3
     hs = [0.05 * 2.0 ** (-m) for m in range(scales)]
     try:
         direct = [(g(x0 + h) - g(x0 - h)) / (2.0 * h) for h in hs]
@@ -765,36 +717,31 @@ class AxiomReport:
 def run_full_report(f: EntropyFamily, config: CheckConfig | None = None) -> AxiomReport:
     """Run every check against the family; deterministic for a fixed seed."""
     cfg = config or CheckConfig()
-    dists = [Distribution(p) for p in cfg.dists]
-    refinements = sample_refinement(
-        cfg.refinement_rows, cfg.refinement_max_m, cfg.refinement_count,
-        _check_seed(cfg.seed, "additivity"),
-    )
+    dists = [Distribution(p) for p in
+             ((1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25))]
+    refinements = sample_refinement(4, 4, 60, _check_seed(cfg.seed, "additivity"))
     checks = [
-        check_continuity(f, cfg.continuity_points, cfg.continuity_scale),
+        check_continuity(f),
         check_maximality(f, cfg.q_grid, cfg.dims, cfg.maximality_samples, cfg.seed),
         check_expandability(f, dists, cfg.q_grid),
         check_generalized_additivity(f, cfg.q_grid, refinements, mode="suyari"),
         check_generalized_additivity(f, cfg.q_grid, refinements, mode="generalized"),
         check_pseudoadditivity(f, cfg.q_grid, cfg.pseudo_samples, cfg.seed),
-        check_shannon_limit(f, [d for d in dists if len(d) > 1],
-                            cfg.shannon_limit_scales, cfg.shannon_limit_tol),
-        check_sign_condition(f, cfg.region_q_grid),
+        check_shannon_limit(f, [d for d in dists if len(d) > 1]),
+        check_sign_condition(f, REGION_Q_GRID),
         (
-            check_phi_derivative_at_1(f.phi, f.k, cfg.derivative_scales, cfg.limit_tol)
-            if _is_tsallis_alpha(f, cfg.region_q_grid)
+            check_phi_derivative_at_1(f.phi, f.k)
+            if _is_tsallis_alpha(f, REGION_Q_GRID)
             else _not_applicable(
-                "phi_derivative_at_1", (), cfg.limit_tol,
+                "phi_derivative_at_1", (), _LIMIT_TOL,
                 "phi'(1) = 1/k characterizes the exponent-q reduction "
                 "alpha(q) = 1 - q; this family has a different alpha",
             )
         ),
-        check_alpha_phi_limit(f, cfg.derivative_scales, cfg.limit_tol),
-        check_constraint_region(f, cfg.region_q_grid, cfg.region_tol),
-        check_convexity_of_I(f, cfg.region_q_grid, cfg.convexity_grid_size,
-                             cfg.convexity_p_min, cfg.convexity_tol),
-        derivative_limit_probe(f.phi, cfg.probe_point, cfg.probe_scales,
-                               cfg.probe_tol),
+        check_alpha_phi_limit(f),
+        check_constraint_region(f, REGION_Q_GRID),
+        check_convexity_of_I(f, REGION_Q_GRID),
+        derivative_limit_probe(f.phi, 1.3),
     ]
     # The region and convexity checks test equivalent conditions; their
     # per-q verdicts must agree, and the comparison travels with the report.

@@ -176,8 +176,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
     estimate = quotients_at_1[-1][1]
     print(f"phi'(1) ~ {_fmt(estimate, args.digits)} (target {_fmt(1.0 / args.k, args.digits)})")
     print(f"off-1 spread at q={args.off_q!r}: {_fmt(probe.spread, 6)} "
-          f"(threshold {_fmt(args.spread_threshold, 6)}, "
-          f"smooth control {_fmt(control_spread, 6)})")
+          f"(smooth control {_fmt(control_spread, 6)})")
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -213,13 +212,13 @@ def cmd_weierstrass(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
-    common.add_argument("--digits", type=int, default=15,
-                        help="significant digits for printed numbers (default 15)")
+    # Each subcommand takes only the flags it reads.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="machine-readable JSON output")
+    digits_flag = argparse.ArgumentParser(add_help=False)
+    digits_flag.add_argument("--digits", type=int, default=15,
+                             help="significant digits for printed numbers (default 15)")
 
     parser = argparse.ArgumentParser(
         prog="qentropy",
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[json_flag, digits_flag],
                             help="evaluate a family's entropy at q")
     p_eval.add_argument("--family", required=True, help="family spec JSON file")
     p_eval.add_argument("--q", type=float, required=True)
@@ -236,16 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mode", choices=("strict", "normalize"), default="strict")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_info = sub.add_parser("info-content", parents=[common],
+    p_info = sub.add_parser("info-content", parents=[json_flag, digits_flag],
                             help="pseudoadditive information content I_q(p)")
     p_info.add_argument("--family", required=True)
     p_info.add_argument("--q", type=float, required=True)
     p_info.add_argument("--p", type=float, required=True)
     p_info.set_defaults(func=cmd_info_content)
 
-    p_ax = sub.add_parser("axioms", parents=[common],
+    p_ax = sub.add_parser("axioms", parents=[json_flag],
                           help="run the axiom report for a family")
     p_ax.add_argument("--family", required=True)
+    p_ax.add_argument("--seed", type=int, default=0,
+                      help="seed for randomized checks (default 0)")
     p_ax.add_argument("--q-list", default=None,
                       help="comma-separated q grid override")
     p_ax.add_argument("--dims", default=None,
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="report JSON path (default axiom_report.json)")
     p_ax.set_defaults(func=cmd_axioms)
 
-    p_ce = sub.add_parser("counterexample", parents=[common],
+    p_ce = sub.add_parser("counterexample", parents=[digits_flag],
                           help="difference-quotient data for the Weierstrass deformation")
     p_ce.add_argument("--a", type=float, default=0.5)
     p_ce.add_argument("--b", type=int, default=13)
@@ -265,13 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ce.add_argument("--depth", type=int, default=8)
     p_ce.add_argument("--off-q", type=float, default=1.3,
                       help="probe point away from 1 (default 1.3)")
-    p_ce.add_argument("--spread-threshold", type=float, default=1.0,
-                      help="spread above this counts as non-convergence")
     p_ce.add_argument("--output", default="counterexample.csv")
     p_ce.set_defaults(func=cmd_counterexample)
 
-    p_w = sub.add_parser("weierstrass", parents=[common],
-                         help="tabulate W(x) to CSV")
+    p_w = sub.add_parser("weierstrass", help="tabulate W(x) to CSV")
     p_w.add_argument("--a", type=float, default=0.5)
     p_w.add_argument("--b", type=int, default=13)
     p_w.add_argument("--eps", type=float, default=1e-12)

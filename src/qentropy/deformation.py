@@ -206,12 +206,6 @@ class EntropyFamily:
                         f"{label}(1) = {at_1!r}, must vanish within {FAMILY_POINT_TOL}"
                     )
 
-    def eval_phi(self, q: float) -> float:
-        return self.phi(q)
-
-    def eval_alpha(self, q: float) -> float:
-        return self.alpha(q)
-
     @property
     def family_id(self) -> str:
         spec = self.to_spec()

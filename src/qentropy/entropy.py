@@ -79,7 +79,7 @@ def _require_zeros_allowed(probs: tuple[float, ...], e: float) -> None:
 
 
 def _phi_at(f: EntropyFamily, q: float) -> float:
-    phi_q = f.eval_phi(q)
+    phi_q = f.phi(q)
     if phi_q == 0.0:
         raise PhiVanishes(f"phi({q!r}) = 0 away from q = 1")
     return phi_q
@@ -99,7 +99,7 @@ def _q_offset(d: Distribution, f: EntropyFamily, q: float) -> float:
 
 
 def _alpha_offset(d: Distribution, f: EntropyFamily, q: float) -> float:
-    offset = -f.eval_alpha(q)
+    offset = -f.alpha(q)
     _require_zeros_allowed(d.probs, 1.0 + offset)
     return offset
 
@@ -153,7 +153,7 @@ def information_content(f: EntropyFamily, q: float, p: float) -> float:
     _check_q(q)
     if abs(q - 1.0) < Q_CROSSOVER:
         return -f.k * math.log(p)
-    return math.expm1(f.eval_alpha(q) * math.log(p)) / _phi_at(f, q)
+    return math.expm1(f.alpha(q) * math.log(p)) / _phi_at(f, q)
 
 
 def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float, i2: float) -> float:
@@ -164,7 +164,7 @@ def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float, i2: float) -> 
     phi(1) = 0 makes q = 1 ordinary additivity.
     """
     _check_q(q)
-    return i1 + i2 + f.eval_phi(q) * i1 * i2
+    return i1 + i2 + f.phi(q) * i1 * i2
 
 
 def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
@@ -182,7 +182,7 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
         # exact through the crossover window.
         value = -f.k * _plogp_sum(d.probs)
         return _finish(value, q, f.validated)
-    alpha_q = f.eval_alpha(q)
+    alpha_q = f.alpha(q)
     e = 1.0 - alpha_q
     _require_zeros_allowed(d.probs, e)
     phi_q = _phi_at(f, q)

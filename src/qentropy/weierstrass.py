@@ -119,16 +119,21 @@ def difference_quotients(
 
     Each quotient divides by the actually-representable step (x + h) - x,
     not the nominal h, so no cancellation error enters the denominator.
+    A depth whose step vanishes next to x is an InputError.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    points = [x + float(base) ** (-m) for m in range(1, depth + 1)]
+    if points[-1] == x:
+        # The points approach x monotonically: the first one equal to x
+        # sits right after the deepest usable depth.
+        usable = points.index(x)
+        raise InputError(
+            f"depth {depth} is too deep: the step {base!r}^-{usable + 1} vanishes "
+            f"next to x = {x!r}; the deepest usable depth is {usable}"
+        )
     f_x = f(x)
-    out = []
-    for m in range(1, depth + 1):
-        x1 = x + float(base) ** (-m)
-        h_actual = x1 - x
-        out.append((h_actual, (f(x1) - f_x) / h_actual))
-    return out
+    return [(x1 - x, (f(x1) - f_x) / (x1 - x)) for x1 in points]
 
 
 @dataclass(frozen=True)

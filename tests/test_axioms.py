@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from qentropy.axioms import (
+    REGION_Q_GRID,
     CheckConfig,
     check_alpha_phi_limit,
     check_constraint_region,
@@ -165,6 +167,16 @@ class TestShannonLimit:
         assert rec.verdict == "fail"
         assert len(rec.witnesses) >= 1
 
+    def test_not_applicable_lists_the_same_q_values(self):
+        # phi vanishes everywhere, so no S_q with q != 1 can be evaluated.
+        flat = EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]),
+                             one_minus_q_alpha(), 1.0, validated=False)
+        dists = [Distribution((0.5, 0.5))]
+        na = check_shannon_limit(flat, dists)
+        assert na.verdict == "not_applicable"
+        assert na.q_values == check_shannon_limit(TSALLIS, dists).q_values
+        assert na.q_values == tuple(1.0 + 10.0 ** -j for j in range(2, 7))
+
 
 class TestAlphaPhiLimit:
     def test_tsallis_ratio_exact(self):
@@ -174,7 +186,7 @@ class TestAlphaPhiLimit:
 
     def test_tsallis_k2(self):
         f = tsallis_family(2.0)
-        assert f.eval_alpha(2.0) / f.eval_phi(2.0) == -2.0
+        assert f.alpha(2.0) / f.phi(2.0) == -2.0
         rec = check_alpha_phi_limit(f)
         assert rec.verdict == "pass"
 
@@ -212,14 +224,14 @@ class TestPhiDerivativeAtOne:
 
 class TestSignCondition:
     def test_tsallis(self):
-        rec = check_sign_condition(TSALLIS, CheckConfig().region_q_grid)
+        rec = check_sign_condition(TSALLIS, REGION_Q_GRID)
         assert rec.verdict == "pass"
 
     def test_negated_phi_fails_everywhere(self):
         fam = EntropyFamily(negated_phi(), one_minus_q_alpha(), 1.0, validated=False)
-        rec = check_sign_condition(fam, CheckConfig().region_q_grid)
+        rec = check_sign_condition(fam, REGION_Q_GRID)
         assert rec.verdict == "fail"
-        assert rec.max_residual == float(len(CheckConfig().region_q_grid))
+        assert rec.max_residual == float(len(REGION_Q_GRID))
 
 
 class TestConstraintRegion:
@@ -252,7 +264,7 @@ class TestConvexity:
         assert len(rec.witnesses) >= 1
 
     def test_agreement_with_region_check(self):
-        grid = CheckConfig().region_q_grid
+        grid = REGION_Q_GRID
         for fam in (TSALLIS, tsallis_family(2.0), power_family(2.0),
                     constant_alpha_family()):
             region = check_constraint_region(fam, grid)
@@ -346,6 +358,22 @@ class TestFullReport:
         a = run_full_report(TSALLIS, CheckConfig(seed=0))
         b = run_full_report(TSALLIS, CheckConfig(seed=1))
         assert a.to_json() != b.to_json()
+
+    def test_every_config_field_changes_the_checks(self):
+        base = CheckConfig(q_grid=(0.5, 2.0), dims=(2, 3),
+                           maximality_samples=20, pseudo_samples=20)
+        changed = {
+            "seed": 1,
+            "q_grid": (0.5, 3.0),
+            "dims": (2, 3, 4),
+            "maximality_samples": 30,
+            "pseudo_samples": 30,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(CheckConfig)}
+        checks = run_full_report(TSALLIS, base).to_dict()["checks"]
+        for name, value in changed.items():
+            other = run_full_report(TSALLIS, dataclasses.replace(base, **{name: value}))
+            assert other.to_dict()["checks"] != checks, name
 
     def test_family_spec_round_trips_through_report(self):
         from qentropy.deformation import family_from_spec

@@ -214,12 +214,43 @@ class TestCounterexample:
         summary = capsys.readouterr().out
         assert "off-1 spread" in summary
 
+    def test_too_deep_exits_2(self, tmp_path, capsys):
+        rc = main(["counterexample", "--depth", "15",
+                   "--output", str(tmp_path / "ce.csv")])
+        assert rc == 2
+        assert "deepest usable depth is 14" in capsys.readouterr().err
+        assert not (tmp_path / "ce.csv").exists()
+
     def test_k2_target(self, tmp_path, capsys):
         out = tmp_path / "ce.csv"
         rc = main(["counterexample", "--k", "2", "--depth", "6",
                    "--output", str(out)])
         assert rc == 0
         assert "target 0.5" in capsys.readouterr().out
+
+
+class TestFlags:
+    UNREAD = [
+        (["eval", "--family", "f.json", "--q", "2", "--dist", "[1]"], "--seed"),
+        (["info-content", "--family", "f.json", "--q", "2", "--p", "1"], "--seed"),
+        (["axioms", "--family", "f.json"], "--digits"),
+        (["counterexample"], "--json"),
+        (["counterexample"], "--seed"),
+        (["counterexample"], "--spread-threshold"),
+        (["weierstrass", "--x", "0"], "--json"),
+        (["weierstrass", "--x", "0"], "--digits"),
+        (["weierstrass", "--x", "0"], "--seed"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", UNREAD,
+                             ids=[f"{argv[0]} {flag}" for argv, flag in UNREAD])
+    def test_unread_flag_exits_2(self, argv, flag, capsys):
+        # Each subcommand offers only the flags it reads.
+        value = [] if flag == "--json" else ["1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag] + value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestWeierstrassCommand:

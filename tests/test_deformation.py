@@ -94,11 +94,11 @@ class TestTabulated:
 class TestTsallisFamily:
     def test_definitional_values(self):
         f = tsallis_family(1.0)
-        assert f.eval_phi(2.0) == 1.0
-        assert f.eval_alpha(2.0) == -1.0
+        assert f.phi(2.0) == 1.0
+        assert f.alpha(2.0) == -1.0
 
     def test_k_scaling(self):
-        assert tsallis_family(2.0).eval_phi(2.0) == 0.5
+        assert tsallis_family(2.0).phi(2.0) == 0.5
 
     def test_rejects_k_zero(self):
         with pytest.raises(NonPositiveK):
@@ -110,7 +110,7 @@ class TestTsallisFamily:
             f = tsallis_family(k)
             for j in range(3, 9):
                 for q in (1.0 + 10.0 ** (-j), 1.0 - 10.0 ** (-j)):
-                    assert abs(f.eval_alpha(q) / f.eval_phi(q) + k) <= 1e-9
+                    assert abs(f.alpha(q) / f.phi(q) + k) <= 1e-9
 
 
 @pytest.mark.parametrize("family", [
@@ -124,7 +124,7 @@ def test_sign_condition_on_grid(family):
         q = float(q)
         if abs(q - 1.0) < 1e-9:
             continue
-        phi_q = family.eval_phi(q)
+        phi_q = family.phi(q)
         assert phi_q != 0.0
         assert math.copysign(1.0, phi_q) == math.copysign(1.0, q - 1.0)
 
@@ -136,7 +136,7 @@ def test_constraint_region_on_grid(family):
         q = float(q)
         if abs(q - 1.0) < 1e-9:
             continue
-        phi_q, alpha_q = family.eval_phi(q), family.eval_alpha(q)
+        phi_q, alpha_q = family.phi(q), family.alpha(q)
         if phi_q > 0:
             assert alpha_q <= 0.0
         else:
@@ -153,7 +153,7 @@ class TestEntropyFamilyValidation:
             tsallis_phi(1.0), tabulated([(0.1, 0.5), (4.0, 0.5)]), 1.0,
             validated=False,
         )
-        assert f.eval_alpha(2.0) == 0.5
+        assert f.alpha(2.0) == 0.5
 
     def test_table_not_covering_one_is_a_spec_error(self):
         with pytest.raises(InvalidFamilySpec):
@@ -171,7 +171,7 @@ class TestFamilySpec:
             "alpha": {"kind": "one_minus_q_alpha"},
             "k": 2.0,
         })
-        assert f.eval_phi(2.0) == 0.5
+        assert f.phi(2.0) == 0.5
 
     def test_parse_weierstrass(self):
         f = family_from_spec({
@@ -179,7 +179,7 @@ class TestFamilySpec:
             "alpha": {"kind": "one_minus_q_alpha"},
             "k": 1.0,
         })
-        assert f.eval_phi(1.0) == 0.0
+        assert f.phi(1.0) == 0.0
 
     def test_round_trip(self):
         for family in (tsallis_family(2.0), weierstrass_family(), power_family(2.0)):
@@ -202,7 +202,7 @@ class TestFamilySpec:
             again = family_from_spec(family.to_spec())
             assert again == family, kind
             for q in (0.5, 1.0, 1.3, 3.0):
-                assert again.eval_phi(q) == family.eval_phi(q), (kind, q)
+                assert again.phi(q) == family.phi(q), (kind, q)
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(InvalidFamilySpec):

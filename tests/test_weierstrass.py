@@ -138,3 +138,10 @@ class TestProbe:
     def test_depth_validation(self):
         with pytest.raises(InputError):
             nondifferentiability_probe(P_DEFAULT, 0.0, 1)
+
+    def test_vanishing_step_names_deepest_depth(self):
+        # 1.0 + 13^-15 == 1.0: the step at depth 15 vanishes next to 1.
+        assert 1.0 + 13.0 ** -15 == 1.0
+        assert len(difference_quotients(lambda t: t, 1.0, 13, 14)) == 14
+        with pytest.raises(InputError, match="deepest usable depth is 14"):
+            difference_quotients(lambda t: t, 1.0, 13, 15)
