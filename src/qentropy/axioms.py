@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,6 +192,23 @@ class _Residuals:
             self.count if sample_count is None else sample_count,
             self.max_residual, self.threshold, _worst(self.witnesses), details,
         )
+
+
+class _Memo:
+    """A deformation function evaluated at most once per q.  Only values are
+    stored: a q that raised raises again, from the function itself.  The key
+    holds the type of q, because a numpy q can give a numpy result."""
+
+    def __init__(self, func: Callable[[float], float]) -> None:
+        self.func = func
+        self.values: dict = {}
+
+    def __call__(self, q: float) -> float:
+        key = (type(q), q)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self.func(q)
+        return value
 
 
 def _is_tsallis_alpha(f: EntropyFamily, q_grid: Sequence[float]) -> bool:
@@ -600,7 +617,7 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
                 p1 = tuple((1.0 - t1) / 3.0 + (t1 if i == 0 else 0.0)
                            for i in range(3))
                 v1 = generalized_entropy(
-                    Distribution(tuple(x / math.fsum(p1) for x in p1)), f, q
+                    Distribution(tuple([x / math.fsum(p1) for x in p1])), f, q
                 ).value
                 if prev_v is not None:
                     slope = abs(v1 - prev_v) / float(t1 - t0)
@@ -715,8 +732,15 @@ class AxiomReport:
 
 
 def run_full_report(f: EntropyFamily, config: CheckConfig | None = None) -> AxiomReport:
-    """Run every check against the family; deterministic for a fixed seed."""
+    """Run every check against the family; deterministic for a fixed seed.
+
+    The checks share one evaluation of phi and alpha per q, memoized for
+    this call only.  (replace() re-runs the family's validation, which
+    merely fills the memo at q = 1.)
+    """
     cfg = config or CheckConfig()
+    echo = f.to_spec()
+    f = replace(f, phi=_Memo(f.phi), alpha=_Memo(f.alpha))
     dists = [Distribution(p) for p in
              ((1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25))]
     refinements = sample_refinement(4, 4, 60, _check_seed(cfg.seed, "additivity"))
@@ -750,7 +774,7 @@ def run_full_report(f: EntropyFamily, config: CheckConfig | None = None) -> Axio
     agreement = _region_convexity_agreement(region, convexity)
     convexity.details["agrees_with_constraint_region"] = agreement
     return AxiomReport(
-        family=f.to_spec(),
+        family=echo,
         config=asdict(cfg),
         checks=checks,
     )

@@ -83,10 +83,16 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+def _check_q(q: float, flag: str) -> None:
+    if not q > 0.0:
+        raise InputError(f"{flag} must be positive, got {q!r}")
+    if q == math.inf:
+        raise InputError(f"{flag} must be finite, got {q!r}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
-    if not args.q > 0.0:
-        raise InputError(f"--q must be positive, got {args.q!r}")
+    _check_q(args.q, "--q")
     dist = make_distribution(_load_values(args.dist), args.mode)
     result = generalized_entropy(dist, family, args.q)
     if args.json:
@@ -102,8 +108,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_info_content(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
-    if not args.q > 0.0:
-        raise InputError(f"--q must be positive, got {args.q!r}")
+    _check_q(args.q, "--q")
     if not 0.0 < args.p <= 1.0:
         raise InputError(f"--p must be in (0, 1], got {args.p!r}")
     value = information_content(family, args.q, args.p)
@@ -131,6 +136,8 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     cfg_kwargs = {"seed": args.seed}
     if args.q_list:
         cfg_kwargs["q_grid"] = _parse_float_list(args.q_list, "--q-list")
+        for q in cfg_kwargs["q_grid"]:
+            _check_q(q, "--q-list")
     if args.dims:
         dims = _parse_float_list(args.dims, "--dims")
         if any(d != int(d) or d < 1 for d in dims):

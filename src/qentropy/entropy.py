@@ -32,6 +32,7 @@ from typing import Callable
 from .deformation import EntropyFamily
 from .errors import (
     DomainError,
+    EvaluationError,
     NegativeEntropy,
     NonPositiveK,
     PhiVanishes,
@@ -64,6 +65,8 @@ def _finish(value: float, q: float, validated: bool) -> EntropyValue:
 def _check_q(q: float) -> None:
     if not q > 0.0:
         raise DomainError(f"q must be positive, got {q!r}")
+    if q == math.inf:
+        raise DomainError(f"q must be finite, got {q!r}")
 
 
 def _plogp_sum(probs: tuple[float, ...]) -> float:
@@ -147,13 +150,24 @@ def information_content(f: EntropyFamily, q: float, p: float) -> float:
     """Surprise of an outcome of probability p:
 
         I_q(p) = (p^alpha(q) - 1) / phi(q),    I_1(p) = -k ln p.
+
+    A value that is not finite (p^alpha(q) beyond the float range) is an
+    EvaluationError naming q and p.
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must be in (0, 1], got {p!r}")
     _check_q(q)
     if abs(q - 1.0) < Q_CROSSOVER:
         return -f.k * math.log(p)
-    return math.expm1(f.alpha(q) * math.log(p)) / _phi_at(f, q)
+    z = f.alpha(q) * math.log(p)
+    try:
+        numerator = math.expm1(z)
+    except OverflowError:
+        numerator = math.inf
+    value = numerator / _phi_at(f, q)
+    if not math.isfinite(value):
+        raise EvaluationError(f"I_q(p) at q={q!r}, p={p!r} is not finite ({value!r})")
+    return value
 
 
 def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float, i2: float) -> float:

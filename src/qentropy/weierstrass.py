@@ -25,7 +25,7 @@ by den rounds (one ulp).  cos then sees an argument in [0, 2) times pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import InputError, InvalidWeierstrassParams
@@ -36,11 +36,18 @@ AB_LOWER_BOUND = 1.0 + 1.5 * math.pi
 
 @dataclass(frozen=True)
 class WeierstrassParams:
-    """Series parameters (a, b) plus the absolute truncation tolerance."""
+    """Series parameters (a, b) plus the absolute truncation tolerance.
+
+    term_count (series terms K+1 with tail a^(K+1)/(1-a) <= eps) and w0
+    (the truncated W(0)) are derived once, after validation; they take no
+    part in equality, hashing or repr.
+    """
 
     a: float
     b: int
     eps: float = 1e-12
+    term_count: int = field(init=False, compare=False, repr=False)
+    w0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.a < 1.0:
@@ -56,16 +63,14 @@ class WeierstrassParams:
             )
         if not self.eps > 0.0:
             raise InvalidWeierstrassParams(f"eps must be > 0, got {self.eps!r}")
-
-    @property
-    def term_count(self) -> int:
-        """Number of series terms K+1 with tail a^(K+1)/(1-a) <= eps."""
+        # Only validated parameters get here: 0 < a < 1 ends the loop.
         count = 1
         tail = self.a / (1.0 - self.a)
         while tail > self.eps:
             tail *= self.a
             count += 1
-        return count
+        object.__setattr__(self, "term_count", count)
+        object.__setattr__(self, "w0", eval_W(self, 0.0))
 
 
 def _reduced_angles(x: float, b: int, terms: int) -> list[float]:
@@ -105,7 +110,7 @@ def eval_phi_counterexample(params: WeierstrassParams, k: float, q: float) -> fl
     if k <= 0.0:
         raise InputError(f"k must be positive, got {k!r}")
     h = q - 1.0
-    w0 = eval_W(params, 0.0)
+    w0 = params.w0
     return (h / k) * ((eval_W(params, h) + 2.0 * w0) / (3.0 * w0))
 
 

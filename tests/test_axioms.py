@@ -1,13 +1,19 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+import qentropy.deformation
+import qentropy.weierstrass
 from qentropy.axioms import (
+    CHECK_NAMES,
     REGION_Q_GRID,
     CheckConfig,
+    _check_seed,
     check_alpha_phi_limit,
     check_constraint_region,
+    check_continuity,
     check_convexity_of_I,
     check_expandability,
     check_generalized_additivity,
@@ -20,6 +26,7 @@ from qentropy.axioms import (
     run_full_report,
 )
 from qentropy.deformation import (
+    DeformationFunction,
     EntropyFamily,
     negated_phi,
     one_minus_q_alpha,
@@ -31,6 +38,7 @@ from qentropy.deformation import (
     weierstrass_phi,
 )
 from qentropy.entropy import generalized_entropy
+from qentropy.errors import EvaluationError
 from qentropy.simplex import Distribution, Refinement, sample_refinement
 from qentropy.weierstrass import WeierstrassParams
 
@@ -139,6 +147,19 @@ class TestPseudoadditivity:
     def test_q1_reduces_to_log_additivity(self):
         rec = check_pseudoadditivity(TSALLIS, (1.0,), samples=300, seed=0)
         assert rec.max_residual <= 1e-12
+
+
+class TestOverflowingInformationContent:
+    # At q = 800, p^alpha(q) leaves the float range for small p.
+    def test_pseudoadditivity_not_applicable(self):
+        rec = check_pseudoadditivity(TSALLIS, (2.0, 800.0), 20, 0)
+        assert rec.verdict == "not_applicable"
+        assert "q=800.0" in rec.details["reason"]
+
+    def test_convexity_not_applicable(self):
+        rec = check_convexity_of_I(TSALLIS, (2.0, 800.0))
+        assert rec.verdict == "not_applicable"
+        assert "q=800.0" in rec.details["reason"]
 
 
 class TestShannonLimit:
@@ -381,3 +402,95 @@ class TestFullReport:
         again = family_from_spec(report.family)
         report2 = run_full_report(again)
         assert report.to_json() == report2.to_json()
+
+
+def _direct_records(f: EntropyFamily, cfg: CheckConfig) -> list:
+    """The report's checks called one by one on f itself, as asdict()."""
+    dists = [Distribution(p) for p in
+             ((1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25))]
+    refinements = sample_refinement(4, 4, 60, _check_seed(cfg.seed, "additivity"))
+    records = [
+        check_continuity(f),
+        check_maximality(f, cfg.q_grid, cfg.dims, cfg.maximality_samples, cfg.seed),
+        check_expandability(f, dists, cfg.q_grid),
+        check_generalized_additivity(f, cfg.q_grid, refinements, mode="suyari"),
+        check_generalized_additivity(f, cfg.q_grid, refinements, mode="generalized"),
+        check_pseudoadditivity(f, cfg.q_grid, cfg.pseudo_samples, cfg.seed),
+        check_shannon_limit(f, dists[1:]),
+        check_sign_condition(f, REGION_Q_GRID),
+        # Every family below has alpha(q) = 1 - q.
+        check_phi_derivative_at_1(f.phi, f.k),
+        check_alpha_phi_limit(f),
+        check_constraint_region(f, REGION_Q_GRID),
+        check_convexity_of_I(f, REGION_Q_GRID),
+        derivative_limit_probe(f.phi, 1.3),
+    ]
+    return [dataclasses.asdict(rec) for rec in records]
+
+
+class TestReportMemo:
+    """run_full_report evaluates phi and alpha once per q for its checks."""
+
+    @pytest.mark.parametrize("family", [
+        WEIERSTRASS,
+        # phi tabulated on [0.5, 2]: OutOfTableRange -> not_applicable.
+        EntropyFamily(tabulated([(0.5, -0.5), (2.0, 1.0)]), one_minus_q_alpha(), 1.0,
+                      validated=False),
+        # phi = 0 everywhere: PhiVanishes.
+        EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(), 1.0,
+                      validated=False),
+        EntropyFamily(negated_phi(), one_minus_q_alpha(), 1.0, validated=False),
+    ], ids=["weierstrass", "narrow_table", "flat_phi", "negated_phi"])
+    def test_records_equal_direct_checks(self, family):
+        cfg = CheckConfig(seed=3)
+        report = run_full_report(family, cfg).to_dict()
+        assert report["family"] == family.to_spec()
+        convexity = report["checks"][CHECK_NAMES.index("convexity_of_I")]
+        convexity["details"].pop("agrees_with_constraint_region")
+        assert report["checks"] == _direct_records(family, cfg)
+
+    def test_weierstrass_phi_once_per_distinct_q(self, monkeypatch):
+        family = weierstrass_family()
+        phi_qs, w_xs = [], []
+        eval_phi = qentropy.deformation.eval_phi_counterexample
+        eval_W = qentropy.weierstrass.eval_W
+
+        def counted_phi(params, k, q):
+            phi_qs.append(q)
+            return eval_phi(params, k, q)
+
+        def counted_W(params, x):
+            w_xs.append(x)
+            return eval_W(params, x)
+
+        monkeypatch.setattr(qentropy.deformation, "eval_phi_counterexample", counted_phi)
+        monkeypatch.setattr(qentropy.weierstrass, "eval_W", counted_W)
+        # A second report evaluates again: the memo lives for one call only.
+        for _ in range(2):
+            phi_qs.clear()
+            w_xs.clear()
+            run_full_report(family, CheckConfig(seed=3))
+            assert len(phi_qs) == len(set(phi_qs)) == 343
+            assert len(w_xs) == len(phi_qs)
+
+    def test_failing_evaluation_is_not_stored(self, monkeypatch):
+        narrow = EntropyFamily(tabulated([(0.5, -0.5), (2.0, 1.0)]), one_minus_q_alpha(),
+                               1.0, validated=False)
+        calls, failed = Counter(), Counter()
+        call = DeformationFunction.__call__
+
+        def counted(func, q):
+            if func is narrow.phi:
+                calls[q] += 1
+                try:
+                    return call(func, q)
+                except EvaluationError:
+                    failed[q] += 1
+                    raise
+            return call(func, q)
+
+        monkeypatch.setattr(DeformationFunction, "__call__", counted)
+        run_full_report(narrow, CheckConfig(seed=3))
+        # q = 3 lies outside the table: every check that asks raises again.
+        assert failed[3.0] == calls[3.0] > 1
+        assert all(calls[q] == 1 for q in calls if q not in failed)

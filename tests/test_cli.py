@@ -121,6 +121,30 @@ class TestInfoContent:
         assert main(["info-content", "--family", tsallis_file, "--q", "2",
                      "--p", "1.5"]) == 2
 
+    def test_overflow_exits_3(self, tsallis_file, capsys):
+        rc = main(["info-content", "--family", tsallis_file, "--q", "1e308",
+                   "--p", "0.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "evaluation error" in err and "q=1e+308, p=0.5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--dist", "[0.5,0.5]"],
+    ["info-content", "--p", "0.5"],
+])
+@pytest.mark.parametrize("q,message", [
+    ("inf", "--q must be finite, got inf"),
+    ("nan", "--q must be positive, got nan"),
+    ("0", "--q must be positive, got 0.0"),
+])
+def test_bad_q_exits_2(tsallis_file, capsys, argv, q, message):
+    rc = main([argv[0], "--family", tsallis_file, f"--q={q}", *argv[1:]])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
 
 class TestAxioms:
     def test_tsallis_all_pass(self, tsallis_file, tmp_path, capsys):
@@ -154,6 +178,28 @@ class TestAxioms:
 
     def test_missing_family_exits_2(self, tmp_path):
         assert main(["axioms", "--family", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("q_list,message", [
+        ("0,1", "--q-list must be positive, got 0.0"),
+        ("nan", "--q-list must be positive, got nan"),
+        ("-1", "--q-list must be positive, got -1.0"),
+        ("2,inf", "--q-list must be finite, got inf"),
+    ])
+    def test_bad_q_list_exits_2(self, tsallis_file, tmp_path, capsys, q_list, message):
+        out = tmp_path / "report.json"
+        rc = main(["axioms", "--family", tsallis_file, f"--q-list={q_list}",
+                   "--samples", "20", "--output", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_q_is_not_applicable(self, tsallis_file, tmp_path):
+        out = tmp_path / "report.json"
+        rc = main(["axioms", "--family", tsallis_file, "--q-list", "2,800",
+                   "--samples", "20", "--output", str(out)])
+        assert rc == 0
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["checks"]}
+        assert verdicts["pseudoadditivity"] == "not_applicable"
 
     def test_same_seed_byte_identical_reports(self, tsallis_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

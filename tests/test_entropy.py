@@ -22,6 +22,7 @@ from qentropy.entropy import (
 )
 from qentropy.errors import (
     DomainError,
+    EvaluationError,
     NegativeEntropy,
     PhiVanishes,
     ZeroWithNonpositiveExponent,
@@ -191,6 +192,30 @@ class TestInformationContent:
     def test_domain(self, p):
         with pytest.raises(DomainError):
             information_content(TSALLIS, 2.0, p)
+
+    @pytest.mark.parametrize("family,q,p", [
+        # p^alpha(q) = 0.1^-799 is beyond the float range.
+        (TSALLIS, 800.0, 0.1),
+        (TSALLIS, 1e308, 0.5),
+        # p^alpha(q) - 1 = 2^799 is finite; dividing by phi = 799e-300 is not.
+        (tsallis_family(1e300), 800.0, 0.5),
+    ])
+    def test_overflow_is_evaluation_error(self, family, q, p):
+        with pytest.raises(EvaluationError) as info:
+            information_content(family, q, p)
+        assert f"q={q!r}" in str(info.value) and f"p={p!r}" in str(info.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: generalized_entropy(Distribution((0.5, 0.5)), TSALLIS, q),
+    lambda q: suyari_entropy(Distribution((0.5, 0.5)), TSALLIS, q),
+    lambda q: trace_expectation(Distribution((0.5, 0.5)), TSALLIS, q),
+    lambda q: information_content(TSALLIS, q, 0.5),
+    lambda q: pseudoadditive_compose(TSALLIS, q, 1.0, 1.0),
+])
+def test_infinite_q_is_domain_error(call):
+    with pytest.raises(DomainError, match="finite"):
+        call(math.inf)
 
 
 class TestPseudoadditiveCompose:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,37 @@ class TestParams:
     def test_rejects_bad_eps(self):
         with pytest.raises(InvalidWeierstrassParams):
             WeierstrassParams(0.5, 13, 0.0)
+
+    @pytest.mark.parametrize("a,b,eps", [
+        (1.0, 13, 1e-12), (math.nan, 13, 1e-12), (0.5, 13, -1.0),
+        (0.5, 13, math.nan), (0.5, 13.0, 1e-12),
+    ])
+    def test_invalid_params_raise_before_derived_fields(self, a, b, eps):
+        # a >= 1 or eps <= 0 would never end the term-count loop.
+        with pytest.raises(InvalidWeierstrassParams):
+            WeierstrassParams(a, b, eps)
+
+    def test_derived_fields(self):
+        assert P_DEFAULT.w0 == eval_W(P_DEFAULT, 0.0)
+        assert abs(P_DEFAULT.w0 - 2.0) <= P_DEFAULT.eps
+
+    def test_identity_ignores_derived_fields(self):
+        same = WeierstrassParams(0.5, 13)
+        assert same == P_DEFAULT and hash(same) == hash(P_DEFAULT)
+        assert repr(P_DEFAULT) == "WeierstrassParams(a=0.5, b=13, eps=1e-12)"
+        assert WeierstrassParams(0.5, 13, 1e-10) != P_DEFAULT
+        with pytest.raises(TypeError):
+            WeierstrassParams(0.5, 13, 1e-12, 41)
+
+    def test_replace_recomputes_derived_fields(self):
+        assert dataclasses.replace(P_DEFAULT) == P_DEFAULT
+        other = dataclasses.replace(P_DEFAULT, b=15, eps=1e-6)
+        assert other == WeierstrassParams(0.5, 15, 1e-6)
+        # 0.5^21 / 0.5 = 9.5e-7 <= 1e-6 < 0.5^20 / 0.5.
+        assert other.term_count == 21
+        assert other.w0 == eval_W(other, 0.0)
+        with pytest.raises(InvalidWeierstrassParams):
+            dataclasses.replace(P_DEFAULT, a=1.0)
 
 
 class TestEvalW:
