@@ -53,7 +53,6 @@ from .weierstrass import (
 )
 from .entropy import (
     EntropyValue,
-    Q_CROSSOVER,
     generalized_entropy,
     information_content,
     pseudoadditive_compose,

@@ -54,8 +54,7 @@ class DeformationFunction:
             raise InvalidFamilySpec(f"unknown kind {self.kind!r}")
 
     def __call__(self, q: float) -> float:
-        if not q > 0.0:
-            raise DomainError(f"q must be positive, got {q!r}")
+        _check_q(q)
         return _KINDS[self.kind].evaluate(self, q)
 
     def to_spec(self) -> dict:
@@ -64,6 +63,14 @@ class DeformationFunction:
         for name in _KINDS[self.kind].fields:
             spec[name] = _FIELDS[name].read(self)
         return spec
+
+
+def _check_q(q: float) -> None:
+    """The one domain check on q for every kind and every entropy route."""
+    if not q > 0.0:
+        raise DomainError(f"q must be positive, got {q!r}")
+    if q == math.inf:
+        raise DomainError(f"q must be finite, got {q!r}")
 
 
 def _interpolate(f: DeformationFunction, q: float) -> float:

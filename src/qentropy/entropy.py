@@ -12,9 +12,10 @@ cancellation as the exponent e approaches 1, so it is computed as
 
     -sum_i p_i * expm1((e - 1) * ln p_i)
 
-which is exact in the e -> 1 limit.  Below |q - 1| < 1e-9 (Q_CROSSOVER) the
-quotient itself is abandoned and the Shannon limit -k sum p ln p is returned
-directly; the crossover constant is part of the contract and is tested.
+which is exact in the e -> 1 limit.  Every q != 1 goes through this one
+quotient, however close to 1; only q == 1.0 itself returns the Shannon value
+-k sum p ln p.  A phi(q) that is zero or subnormal raises PhiVanishes: a
+subnormal divisor has lost relative precision.
 
 Conventions: 0^e = 0 for e > 0 (zero-probability outcomes drop out); a zero
 probability with e <= 0 is an error rather than a silently skipped term,
@@ -26,6 +27,7 @@ codomain of a valid family is the nonnegative reals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,7 +42,6 @@ from .errors import (
 )
 from .simplex import Distribution
 
-Q_CROSSOVER = 1e-9
 _CLAMP = 1e-12
 
 
@@ -62,13 +63,6 @@ def _finish(value: float, q: float, validated: bool) -> EntropyValue:
     return EntropyValue(value, q)
 
 
-def _check_q(q: float) -> None:
-    if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
-    if q == math.inf:
-        raise DomainError(f"q must be finite, got {q!r}")
-
-
 def _plogp_sum(probs: tuple[float, ...]) -> float:
     """sum p ln p with the 0 ln 0 = 0 convention."""
     return math.fsum(p * math.log(p) for p in probs if p > 0.0)
@@ -85,6 +79,8 @@ def _phi_at(f: EntropyFamily, q: float) -> float:
     phi_q = f.phi(q)
     if phi_q == 0.0:
         raise PhiVanishes(f"phi({q!r}) = 0 away from q = 1")
+    if abs(phi_q) < sys.float_info.min:
+        raise PhiVanishes(f"phi({q!r}) = {phi_q!r} is subnormal, an imprecise divisor")
     return phi_q
 
 
@@ -117,26 +113,31 @@ def _entropy(
 
     The exponent enters only through its offset from 1 (offset = q - 1 for
     the exponent-q form, offset = -alpha(q) in general); forming 1 + offset
-    and subtracting 1 again would round tiny offsets away.  Inside the
-    crossover window the Shannon limit -k sum p ln p is returned, which is
-    the correct limit for any family with alpha(q)/phi(q) -> -k (for the
-    exponent-q form: phi'(1) = 1/k).
+    and subtracting 1 again would round tiny offsets away.  Only q == 1.0
+    returns the Shannon value -k sum p ln p, the limit for any family with
+    alpha(q)/phi(q) -> -k (phi'(1) = 1/k for the exponent-q form); for any
+    other q a zero or subnormal phi(q) raises PhiVanishes.
     """
-    _check_q(q)
-    if abs(q - 1.0) < Q_CROSSOVER:
+    if q == 1.0:
         value = -f.k * _plogp_sum(d.probs)
     else:
         off = offset(d, f, q)
         phi_q = _phi_at(f, q)
-        value = -math.fsum(
-            p * math.expm1(off * math.log(p)) for p in d.probs if p > 0.0
-        ) / phi_q
+        try:
+            total = math.fsum(
+                p * math.expm1(off * math.log(p)) for p in d.probs if p > 0.0)
+        except OverflowError:
+            # expm1 overflows for a tiny p when off ln p > 709 although the
+            # term p * expm1 is finite.  Then off < -0.95, so the equal form
+            # p^(1 + off) - p loses nothing to the rounding of 1 + off.
+            total = math.fsum(p ** (1.0 + off) - p for p in d.probs if p > 0.0)
+        value = -total / phi_q
     return _finish(value, q, f.validated)
 
 
 def suyari_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
-    """Exponent-q entropy (1 - sum p^q) / phi(q); the Shannon limit inside
-    the crossover window."""
+    """Exponent-q entropy (1 - sum p^q) / phi(q) for every q != 1; the
+    Shannon value at q == 1.0 only; PhiVanishes for a subnormal phi(q)."""
     return _entropy(d, f, q, _q_offset)
 
 
@@ -156,8 +157,7 @@ def information_content(f: EntropyFamily, q: float, p: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must be in (0, 1], got {p!r}")
-    _check_q(q)
-    if abs(q - 1.0) < Q_CROSSOVER:
+    if q == 1.0:
         return -f.k * math.log(p)
     z = f.alpha(q) * math.log(p)
     try:
@@ -175,10 +175,13 @@ def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float, i2: float) -> 
 
         i1 (+) i2 = i1 + i2 + phi(q) * i1 * i2.
 
-    phi(1) = 0 makes q = 1 ordinary additivity.
+    phi(1) = 0 makes q = 1 ordinary additivity.  A composition beyond the
+    float range is an EvaluationError naming q.
     """
-    _check_q(q)
-    return i1 + i2 + f.phi(q) * i1 * i2
+    value = i1 + i2 + f.phi(q) * i1 * i2
+    if not math.isfinite(value):
+        raise EvaluationError(f"i1 (+) i2 at q={q!r} is not finite ({value!r})")
+    return value
 
 
 def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
@@ -189,13 +192,9 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
     independent route to the same value as generalized_entropy; the two must
     agree to ~1e-12 wherever both are defined.
     """
-    _check_q(q)
-    if abs(q - 1.0) < Q_CROSSOVER:
-        # e_1(p) = p and I_1(p) = -k ln p, so the trace form IS the Shannon
-        # sum; using it directly keeps the identity with generalized_entropy
-        # exact through the crossover window.
-        value = -f.k * _plogp_sum(d.probs)
-        return _finish(value, q, f.validated)
+    if q == 1.0:
+        # e_1(p) = p and I_1(p) = -k ln p, so the trace form IS the Shannon sum.
+        return _finish(-f.k * _plogp_sum(d.probs), q, f.validated)
     alpha_q = f.alpha(q)
     e = 1.0 - alpha_q
     _require_zeros_allowed(d.probs, e)
@@ -205,9 +204,10 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
         if p == 0.0:
             continue
         z = alpha_q * math.log(p)
-        if z > 700.0:
-            # expm1 would overflow although the product is finite; use the
-            # algebraically equal overflow-free form for this term only.
+        if z > 1.0:
+            # p^e = p exp(-z) < p / 2.7 here, so this equal form has no
+            # cancellation; the product form would overflow expm1 or
+            # underflow p^e to 0 next to a huge I_q(p).
             terms.append((p - p**e) / phi_q)
         else:
             terms.append(p**e * math.expm1(z) / phi_q)

@@ -59,6 +59,17 @@ class TestKinds:
         with pytest.raises(DomainError):
             tsallis_phi(1.0)(0.0)
 
+    @pytest.mark.parametrize("func", [
+        tsallis_phi(2.0), negated_phi(), one_minus_q_alpha(), power_alpha(0.5),
+        power_phi(0.5, k=2.0), weierstrass_phi(WeierstrassParams(0.5, 13), k=2.0),
+        tabulated([(0.25, -1.0), (1.0, 0.0), (4.0, 2.5)]),
+    ], ids=lambda func: func.kind)
+    def test_every_kind_rejects_bad_q(self, func):
+        for q, message in ((0.0, "positive"), (-1.0, "positive"),
+                           (math.nan, "positive"), (math.inf, "finite")):
+            with pytest.raises(DomainError, match=f"q must be {message}"):
+                func(q)
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(InvalidFamilySpec):
             power_alpha(0.0)

@@ -12,7 +12,6 @@ from qentropy.deformation import (
     weierstrass_family,
 )
 from qentropy.entropy import (
-    Q_CROSSOVER,
     generalized_entropy,
     information_content,
     pseudoadditive_compose,
@@ -27,7 +26,7 @@ from qentropy.errors import (
     PhiVanishes,
     ZeroWithNonpositiveExponent,
 )
-from qentropy.simplex import Distribution, sample_simplex
+from qentropy.simplex import Distribution, make_distribution, sample_simplex
 
 TSALLIS = tsallis_family(1.0)
 Q_GRID = (0.5, 0.9, 1.0, 1.1, 2.0, 3.0)
@@ -81,6 +80,12 @@ class TestSuyari:
         )
         with pytest.raises(PhiVanishes):
             suyari_entropy(Distribution((0.5, 0.5)), f, 3.0)
+
+    def test_subnormal_phi_vanishes(self):
+        # phi = 1e-10 / 1e300 is subnormal: the quotient would lose precision.
+        f = tsallis_family(1e300)
+        with pytest.raises(PhiVanishes, match="subnormal"):
+            suyari_entropy(Distribution((0.5, 0.5)), f, 1.0 + 1e-10)
 
 
 class TestGeneralized:
@@ -144,10 +149,27 @@ class TestGeneralized:
         assert value == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-14)
 
     def test_crossover_returns_shannon_limit(self):
+        # Only q == 1.0 returns the Shannon value; next to it the quotient
+        # holds the true S_q, checked against a 30-digit reference.
         d = Distribution((0.5, 0.25, 0.25))
-        s1 = shannon_entropy(d).value
-        for q in (1.0, 1.0 + 1e-10, 1.0 - 1e-10):
-            assert generalized_entropy(d, TSALLIS, q).value == s1
+        assert generalized_entropy(d, TSALLIS, 1.0).value == shannon_entropy(d).value
+        mpmath = pytest.importorskip("mpmath")
+        for q in (1.0 + 1e-10, 1.0 - 1e-10):
+            with mpmath.workdps(30):
+                h = mpmath.mpf(q - 1.0)
+                ref = -mpmath.fsum(
+                    p * mpmath.expm1(h * mpmath.log(p)) for p in d.probs) / h
+                value = generalized_entropy(d, TSALLIS, q).value
+                assert abs(value - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("entropy", [generalized_entropy, suyari_entropy])
+    def test_overflowing_expm1_with_finite_term(self, entropy):
+        # expm1(-0.99 ln 5e-324) overflows, yet p^q - p is finite.
+        d = make_distribution([1.0, 5e-324], "normalize")
+        value = entropy(d, TSALLIS, 0.01).value
+        trace = trace_expectation(d, TSALLIS, 0.01).value
+        assert value == pytest.approx(5e-324**0.01 / 0.99, rel=1e-14, abs=0.0)
+        assert value == pytest.approx(trace, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("family", [TSALLIS, tsallis_family(2.0),
                                         power_family(2.0), weierstrass_family()])
@@ -228,6 +250,10 @@ class TestPseudoadditiveCompose:
         assert pseudoadditive_compose(TSALLIS, 2.0, 1.0, 1.0) == 3.0
         assert information_content(TSALLIS, 2.0, 0.25) == pytest.approx(3.0, rel=1e-15)
 
+    def test_overflow_is_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="q=2.0"):
+            pseudoadditive_compose(TSALLIS, 2.0, 1e200, 1e200)
+
     def test_plain_additivity_at_q1(self):
         assert pseudoadditive_compose(TSALLIS, 1.0, 2.0, 3.0) == 5.0
 
@@ -276,9 +302,15 @@ class TestTraceExpectation:
         d = Distribution((0.5, 0.5, 0.0))
         assert trace_expectation(d, TSALLIS, 2.0).value == pytest.approx(0.5, abs=1e-15)
 
+    def test_tiny_weight_with_huge_information(self):
+        # p^2 = 1e-600 underflows while I_2(p) = 1e300 - 1; S_2 = 1e-300.
+        d = Distribution((1.0, 1e-300))
+        value = trace_expectation(d, TSALLIS, 2.0).value
+        assert value == pytest.approx(1e-300, rel=1e-14, abs=0.0)
+
     def test_identity_through_crossover_window(self):
         d = Distribution((0.5, 0.25, 0.25))
-        for q in (1.0, 1.0 + Q_CROSSOVER / 2, 1.0 - Q_CROSSOVER / 2):
+        for q in (1.0, 1.0 + 5e-10, 1.0 - 5e-10):
             assert (
                 trace_expectation(d, TSALLIS, q).value
                 == generalized_entropy(d, TSALLIS, q).value
