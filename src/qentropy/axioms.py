@@ -95,28 +95,6 @@ class CheckRecord:
     details: dict = field(default_factory=dict)
 
 
-def _record(
-    name: str,
-    q_values: Sequence[float],
-    sample_count: int,
-    max_residual: float | None,
-    threshold: float,
-    witnesses: Sequence[dict] = (),
-    details: dict | None = None,
-) -> CheckRecord:
-    verdict = "pass" if max_residual is not None and max_residual <= threshold else "fail"
-    return CheckRecord(
-        name=name,
-        q_values=tuple(float(q) for q in q_values),
-        sample_count=sample_count,
-        max_residual=max_residual,
-        threshold=threshold,
-        verdict=verdict,
-        witnesses=tuple(witnesses),
-        details=details or {},
-    )
-
-
 def _not_applicable(
     name: str,
     q_values: Sequence[float],
@@ -149,9 +127,10 @@ def _worst(witnesses: list[tuple[float, dict]], keep: int = 3) -> tuple[dict, ..
 
 
 class _Residuals:
-    """Running max residual, sample count and over-threshold witnesses of one
-    check.  Used as a context manager around the sample loop: an
-    EvaluationError ends the loop and record() then reports not_applicable.
+    """Running max residual, sample count and over-threshold witnesses of
+    every check.  Used as a context manager around the check's evaluations:
+    an EvaluationError (or a ZeroDivisionError from a quotient of
+    evaluations) ends them and record() then reports not_applicable.
     """
 
     def __init__(self, name: str, q_values: Sequence[float], threshold: float,
@@ -162,13 +141,13 @@ class _Residuals:
         self.max_residual = start
         self.count = 0
         self.witnesses: list[tuple[float, dict]] = []
-        self.error: EvaluationError | None = None
+        self.error: Exception | None = None
 
     def __enter__(self) -> "_Residuals":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if isinstance(exc, EvaluationError):
+        if isinstance(exc, (EvaluationError, ZeroDivisionError)):
             self.error = exc
             return True
         return False
@@ -184,13 +163,21 @@ class _Residuals:
     def record(self, q_values: Sequence[float] | None = None,
                sample_count: int | None = None,
                details: dict | None = None) -> CheckRecord:
+        """pass when max_residual <= threshold, else fail; not_applicable
+        after an evaluation error."""
         if self.error is not None:
             return _not_applicable(self.name, self.q_values, self.threshold,
                                    f"evaluation failed: {self.error}")
-        return _record(
-            self.name, self.q_values if q_values is None else q_values,
-            self.count if sample_count is None else sample_count,
-            self.max_residual, self.threshold, _worst(self.witnesses), details,
+        return CheckRecord(
+            name=self.name,
+            q_values=tuple(float(q) for q in
+                           (self.q_values if q_values is None else q_values)),
+            sample_count=self.count if sample_count is None else sample_count,
+            max_residual=self.max_residual,
+            threshold=self.threshold,
+            verdict="pass" if self.max_residual <= self.threshold else "fail",
+            witnesses=_worst(self.witnesses),
+            details=details or {},
         )
 
 
@@ -412,14 +399,14 @@ def check_shannon_limit(
             }
             final_rel = gaps[-1] / (1.0 + s1)
             decreasing = gaps[-1] <= gaps[0] or gaps[-1] == 0.0
-            residual = final_rel if decreasing else math.inf
+            # A gap sequence that grows fails with 1e300, not inf, which
+            # would not be valid JSON.
+            residual = final_rel if decreasing else 1e300
             acc.add(residual, lambda: {
                 "probs": list(d.probs),
                 "gaps": gaps,
                 "final_relative_gap": final_rel,
             })
-    if math.isinf(acc.max_residual):
-        acc.max_residual = 1e300  # keep the report JSON-parseable
     return acc.record(sample_count=len(dists) * len(scales),
                       details={"gaps": gap_detail})
 
@@ -440,30 +427,26 @@ def _limit_at_1(
     and side, the deviations when detail_name is "deviations", else the
     values.
     """
-    tol = _LIMIT_TOL
     hs = [10.0 ** (-j) for j in _LIMIT_SCALES]
-    try:
+    details = {}
+    with _Residuals(name, [], _LIMIT_TOL) as acc:
         pairs = [(func(1.0 + h), func(1.0 - h)) for h in hs]
-    except (EvaluationError, ZeroDivisionError) as exc:
-        return _not_applicable(name, [], tol, f"evaluation failed: {exc}")
-    above = [a for a, _ in pairs]
-    below = [b for _, b in pairs]
-    dev_above = [abs(v - target) for v in above]
-    dev_below = [abs(v - target) for v in below]
-    converged = (
-        dev_above[-1] <= dev_above[0] and dev_below[-1] <= dev_below[0]
-    ) or (dev_above[-1] == 0.0 and dev_below[-1] == 0.0)
-    max_residual = max(dev_above[-1], dev_below[-1]) if converged else 1e300
-    witnesses = [{
-        "target": target,
-        f"{value_name}_above": above[-1],
-        f"{value_name}_below": below[-1],
-    }] if max_residual > tol else []
-    shown = (dev_above, dev_below) if detail_name == "deviations" else (above, below)
-    return _record(
-        name, [1.0 + h for h in hs], 2 * len(hs), max_residual, tol, witnesses,
-        details={f"{detail_name}_above": shown[0], f"{detail_name}_below": shown[1]},
-    )
+        above = [a for a, _ in pairs]
+        below = [b for _, b in pairs]
+        dev_above = [abs(v - target) for v in above]
+        dev_below = [abs(v - target) for v in below]
+        converged = (
+            dev_above[-1] <= dev_above[0] and dev_below[-1] <= dev_below[0]
+        ) or (dev_above[-1] == 0.0 and dev_below[-1] == 0.0)
+        residual = max(dev_above[-1], dev_below[-1]) if converged else 1e300
+        acc.add(residual, lambda: {
+            "target": target,
+            f"{value_name}_above": above[-1],
+            f"{value_name}_below": below[-1],
+        })
+        shown = (dev_above, dev_below) if detail_name == "deviations" else (above, below)
+        details[f"{detail_name}_above"], details[f"{detail_name}_below"] = shown
+    return acc.record([1.0 + h for h in hs], 2 * len(hs), details)
 
 
 def check_alpha_phi_limit(f: EntropyFamily) -> CheckRecord:
@@ -510,22 +493,15 @@ def check_sign_condition(
     The residual is the number of violating grid points, so the record
     stays meaningful when the only violation is an exact zero.
     """
-    name = "sign_condition"
-    threshold = 0.0
-    witnesses: list[tuple[float, dict]] = []
-    violations = 0
-    try:
+    with _Residuals("sign_condition", q_grid, 0.0) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
                 continue
             phi_q = f.phi(q)
             if phi_q == 0.0 or math.copysign(1.0, phi_q) != math.copysign(1.0, q - 1.0):
-                violations += 1
-                witnesses.append((abs(phi_q) + 1.0, {"q": q, "phi": phi_q}))
-    except EvaluationError as exc:
-        return _not_applicable(name, q_grid, threshold, f"evaluation failed: {exc}")
-    return _record(name, q_grid, len(q_grid), float(violations), threshold,
-                   _worst(witnesses))
+                acc.witnesses.append((abs(phi_q) + 1.0, {"q": q, "phi": phi_q}))
+        acc.max_residual = float(len(acc.witnesses))
+    return acc.record(sample_count=len(q_grid))
 
 
 def check_constraint_region(
@@ -594,49 +570,39 @@ def check_convexity_of_I(
 def check_continuity(f: EntropyFamily) -> CheckRecord:
     """Heuristic continuity probe, not a proof.
 
-    Sweeps S_q over a dense q grid for fixed distributions and over a
-    simplex segment for fixed q, 200 points each, and compares the largest
-    discrete slope against ``100 k`` (entropy, and hence its slope, carries
-    units of k).  A jump discontinuity would blow the slope up as the grid refines;
-    smooth and Hoelder-continuous families stay far below.
+    Three sweeps of 200 points each: S_q over a dense q grid for a fixed
+    distribution, then S along a simplex segment at q = 0.5 and at q = 2.
+    The largest of their 597 discrete slopes is compared against ``100 k``
+    (entropy, and hence its slope, carries units of k).  A jump
+    discontinuity would blow the slope up as the grid refines; smooth and
+    Hoelder-continuous families stay far below.
     """
-    name = "continuity_probe"
-    points = 200
-    threshold = 100.0 * f.k
     d_fixed = Distribution((0.5, 0.25, 0.25))
-    qs = np.linspace(0.1, 4.0, points)
-    max_slope = 0.0
-    where = {}
-    try:
-        prev = generalized_entropy(d_fixed, f, float(qs[0])).value
-        for q0, q1 in zip(qs, qs[1:]):
-            cur = generalized_entropy(d_fixed, f, float(q1)).value
-            slope = abs(cur - prev) / float(q1 - q0)
-            if slope > max_slope:
-                max_slope = slope
-                where = {"direction": "q", "q": float(q1)}
-            prev = cur
-        # Segment from the uniform toward a corner of the simplex.
-        ts = np.linspace(0.0, 0.98, points)
-        for q in (0.5, 2.0):
-            prev_v = None
-            for t0, t1 in zip(ts, ts[1:]):
-                p1 = tuple((1.0 - t1) / 3.0 + (t1 if i == 0 else 0.0)
-                           for i in range(3))
-                v1 = generalized_entropy(
-                    Distribution(tuple([x / math.fsum(p1) for x in p1])), f, q
-                ).value
-                if prev_v is not None:
-                    slope = abs(v1 - prev_v) / float(t1 - t0)
-                    if slope > max_slope:
-                        max_slope = slope
-                        where = {"direction": "p", "q": q, "t": float(t1)}
-                prev_v = v1
-    except EvaluationError as exc:
-        return _not_applicable(name, (), threshold, f"evaluation failed: {exc}")
-    witnesses = [dict(where, slope=max_slope)] if max_slope > threshold else []
-    return _record(name, (), 3 * (points - 1), max_slope, threshold, witnesses,
-                   details={"note": "heuristic slope bound, not conclusive"})
+
+    def toward_corner(t: float) -> Distribution:
+        """The point at t on the segment from the uniform toward (1, 0, 0)."""
+        p = [(1.0 - t) / 3.0 + (t if i == 0 else 0.0) for i in range(3)]
+        return Distribution(tuple([x / math.fsum(p) for x in p]))
+
+    # Each sweep: its grid, S at a grid point, and the witness naming a point.
+    ts = np.linspace(0.0, 0.98, 200).tolist()
+    sweeps = [(np.linspace(0.1, 4.0, 200).tolist(),
+               lambda x: generalized_entropy(d_fixed, f, x).value,
+               lambda x: {"direction": "q", "q": x})]
+    for q in (0.5, 2.0):
+        sweeps.append((ts,
+                       lambda t, q=q: generalized_entropy(toward_corner(t), f, q).value,
+                       lambda t, q=q: {"direction": "p", "q": q, "t": t}))
+    slopes = []
+    with _Residuals("continuity_probe", (), 100.0 * f.k) as acc:
+        for xs, entropy, where in sweeps:
+            values = [entropy(x) for x in xs]
+            slopes += [(abs(v1 - v0) / (x1 - x0), where, x1)
+                       for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:])]
+        slope, where, x1 = max(slopes, key=lambda s: s[0])
+        acc.add(slope, lambda: dict(where(x1), slope=slope))
+    return acc.record(sample_count=len(slopes),
+                      details={"note": "heuristic slope bound, not conclusive"})
 
 
 def derivative_limit_probe(
@@ -656,7 +622,14 @@ def derivative_limit_probe(
     scales = 10
     tol = 1e-3
     hs = [0.05 * 2.0 ** (-m) for m in range(scales)]
-    try:
+    tail = max(2, scales // 3)
+
+    def settled(seq: list[float]) -> tuple[bool, float]:
+        spread = max(seq[-tail:]) - min(seq[-tail:])
+        return spread <= tol * (1.0 + abs(seq[-1])), spread
+
+    details = {"x0": x0}
+    with _Residuals(name, (x0,), tol) as acc:
         direct = [(g(x0 + h) - g(x0 - h)) / (2.0 * h) for h in hs]
         nearby_plus = []
         nearby_minus = []
@@ -664,40 +637,29 @@ def derivative_limit_probe(
             s = h / 64.0
             nearby_plus.append((g(x0 + h + s) - g(x0 + h - s)) / (2.0 * s))
             nearby_minus.append((g(x0 - h + s) - g(x0 - h - s)) / (2.0 * s))
-    except (EvaluationError, QentropyError) as exc:
-        return _not_applicable(name, (x0,), tol, f"evaluation failed: {exc}")
-    tail = max(2, scales // 3)
-
-    def settled(seq: list[float]) -> tuple[bool, float]:
-        spread = max(seq[-tail:]) - min(seq[-tail:])
-        return spread <= tol * (1.0 + abs(seq[-1])), spread
-
-    ok_direct, spread_direct = settled(direct)
-    ok_plus, spread_plus = settled(nearby_plus)
-    ok_minus, spread_minus = settled(nearby_minus)
-    details = {
-        "x0": x0,
-        "direct_estimate": direct[-1],
-        "nearby_estimates": [nearby_plus[-1], nearby_minus[-1]],
-        "spreads": {
-            "direct": spread_direct,
-            "nearby_above": spread_plus,
-            "nearby_below": spread_minus,
-        },
-    }
-    if not (ok_direct and ok_plus and ok_minus):
-        return _not_applicable(
-            name, (x0,), tol,
-            "difference quotients do not converge near x0; "
-            "derivative-limit reasoning does not apply",
-            details,
-        )
-    mismatch = max(abs(nearby_plus[-1] - direct[-1]),
-                   abs(nearby_minus[-1] - direct[-1]))
-    residual = mismatch / (1.0 + abs(direct[-1]))
-    witnesses = [dict(details)] if residual > tol else []
-    return _record(name, (x0,), 3 * scales, residual, tol, witnesses,
-                   details=details)
+        ok_direct, spread_direct = settled(direct)
+        ok_plus, spread_plus = settled(nearby_plus)
+        ok_minus, spread_minus = settled(nearby_minus)
+        details.update({
+            "direct_estimate": direct[-1],
+            "nearby_estimates": [nearby_plus[-1], nearby_minus[-1]],
+            "spreads": {
+                "direct": spread_direct,
+                "nearby_above": spread_plus,
+                "nearby_below": spread_minus,
+            },
+        })
+        if not (ok_direct and ok_plus and ok_minus):
+            return _not_applicable(
+                name, (x0,), tol,
+                "difference quotients do not converge near x0; "
+                "derivative-limit reasoning does not apply",
+                details,
+            )
+        mismatch = max(abs(nearby_plus[-1] - direct[-1]),
+                       abs(nearby_minus[-1] - direct[-1]))
+        acc.add(mismatch / (1.0 + abs(direct[-1])), lambda: dict(details))
+    return acc.record(sample_count=3 * scales, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -296,10 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVALUATION
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except QentropyError as exc:  # any stragglers are input-shaped
+    except QentropyError as exc:  # InputError and any other package error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

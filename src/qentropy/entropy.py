@@ -75,6 +75,11 @@ def _require_zeros_allowed(probs: tuple[float, ...], e: float) -> None:
         )
 
 
+def _term_overflow(q: float, e: float) -> EvaluationError:
+    """A term p^e beyond the float range (alpha(q) > 1 with a tiny p)."""
+    return EvaluationError(f"a term p^{e!r} of S_q at q={q!r} overflows the float range")
+
+
 def _phi_at(f: EntropyFamily, q: float) -> float:
     phi_q = f.phi(q)
     if phi_q == 0.0:
@@ -130,7 +135,10 @@ def _entropy(
             # expm1 overflows for a tiny p when off ln p > 709 although the
             # term p * expm1 is finite.  Then off < -0.95, so the equal form
             # p^(1 + off) - p loses nothing to the rounding of 1 + off.
-            total = math.fsum(p ** (1.0 + off) - p for p in d.probs if p > 0.0)
+            try:
+                total = math.fsum(p ** (1.0 + off) - p for p in d.probs if p > 0.0)
+            except OverflowError:
+                raise _term_overflow(q, 1.0 + off) from None
         value = -total / phi_q
     return _finish(value, q, f.validated)
 
@@ -160,11 +168,15 @@ def information_content(f: EntropyFamily, q: float, p: float) -> float:
     if q == 1.0:
         return -f.k * math.log(p)
     z = f.alpha(q) * math.log(p)
+    phi_q = _phi_at(f, q)
     try:
-        numerator = math.expm1(z)
+        value = math.expm1(z) / phi_q
     except OverflowError:
-        numerator = math.inf
-    value = numerator / _phi_at(f, q)
+        # p^alpha > 1.8e308, so the -1 is far below an ulp: divide in logs.
+        try:
+            value = math.copysign(math.exp(z - math.log(abs(phi_q))), phi_q)
+        except OverflowError:
+            value = math.inf
     if not math.isfinite(value):
         raise EvaluationError(f"I_q(p) at q={q!r}, p={p!r} is not finite ({value!r})")
     return value
@@ -200,15 +212,19 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
     _require_zeros_allowed(d.probs, e)
     phi_q = _phi_at(f, q)
     terms = []
-    for p in d.probs:
-        if p == 0.0:
-            continue
-        z = alpha_q * math.log(p)
-        if z > 1.0:
-            # p^e = p exp(-z) < p / 2.7 here, so this equal form has no
-            # cancellation; the product form would overflow expm1 or
-            # underflow p^e to 0 next to a huge I_q(p).
-            terms.append((p - p**e) / phi_q)
-        else:
-            terms.append(p**e * math.expm1(z) / phi_q)
-    return _finish(math.fsum(terms), q, f.validated)
+    try:
+        for p in d.probs:
+            if p == 0.0:
+                continue
+            z = alpha_q * math.log(p)
+            if z > 1.0:
+                # p^e = p exp(-z) < p / 2.7 here, so this equal form has no
+                # cancellation; the product form would overflow expm1 or
+                # underflow p^e to 0 next to a huge I_q(p).
+                terms.append((p - p**e) / phi_q)
+            else:
+                terms.append(p**e * math.expm1(z) / phi_q)
+        total = math.fsum(terms)
+    except OverflowError:
+        raise _term_overflow(q, e) from None
+    return _finish(total, q, f.validated)

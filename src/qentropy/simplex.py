@@ -5,9 +5,9 @@ A Distribution is a point of the simplex
     Delta_n = {(p_1, ..., p_n) | p_i >= 0, sum_i p_i = 1}
 
 and a Refinement splits each outcome i into m_i cells p_ij >= 0 with
-sum_ij p_ij = 1.  Construction accepts sums within 1e-12 of one and then
-renormalizes exactly (divides by the actual sum), so downstream identity
-checks see inputs that are clean to machine precision.
+sum_ij p_ij = 1.  Construction accepts sums within 1e-12 of one and stores
+the entries as given.  make_distribution divides by the actual sum, so its
+entries are exactly proportional to the input.
 
 Sampling is uniform on the simplex (flat Dirichlet) via the exponential
 spacings construction and is deterministic for a fixed seed.
@@ -73,10 +73,6 @@ class Distribution:
             )
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def n(self) -> int:
-        return len(self.probs)
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -95,14 +91,12 @@ def make_distribution(values: Sequence[float], mode: str = "strict") -> Distribu
     """
     if mode not in ("strict", "normalize"):
         raise InputError(f"unknown mode {mode!r}, expected 'strict' or 'normalize'")
-    entries = _as_prob_tuple(values, "distribution")
-    total = _total(entries, "distribution")
     if mode == "strict":
-        if abs(total - 1.0) > SUM_TOL:
-            raise NotNormalized(
-                f"entries sum to {total!r}, not 1 within {SUM_TOL}"
-            )
-    elif total <= 0.0:
+        entries = Distribution(values).probs
+    else:
+        entries = _as_prob_tuple(values, "distribution")
+    total = _total(entries, "distribution")
+    if total <= 0.0:
         raise ZeroSum("cannot normalize an all-zero vector")
     return Distribution(tuple([v / total for v in entries]))
 
@@ -130,10 +124,6 @@ class Refinement:
                 f"cells sum to {total!r}, not 1 within {SUM_TOL}"
             )
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def flatten(self) -> Distribution:
         """All cells in row-major order, as a Distribution."""

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import pytest
 
+import qentropy.axioms
 import qentropy.deformation
 import qentropy.weierstrass
 from qentropy.axioms import (
@@ -38,9 +40,9 @@ from qentropy.deformation import (
     weierstrass_phi,
 )
 from qentropy.entropy import generalized_entropy
-from qentropy.errors import EvaluationError
+from qentropy.errors import EvaluationError, InputError
 from qentropy.simplex import Distribution, Refinement, sample_refinement
-from qentropy.weierstrass import WeierstrassParams
+from qentropy.weierstrass import WeierstrassParams, eval_W
 
 TSALLIS = tsallis_family(1.0)
 WEIERSTRASS = weierstrass_family()
@@ -219,6 +221,15 @@ class TestAlphaPhiLimit:
         # only force convergence, not a rate.
         assert rec.details["deviations_above"][0] > 1e-3
 
+    def test_zero_phi_is_not_applicable(self):
+        # alpha/phi divides by phi directly; a zero phi is a failed evaluation.
+        flat = EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(),
+                             1.0, validated=False)
+        rec = check_alpha_phi_limit(flat)
+        assert rec.verdict == "not_applicable"
+        assert rec.q_values == ()
+        assert rec.details == {"reason": "evaluation failed: float division by zero"}
+
 
 class TestPhiDerivativeAtOne:
     def test_linear_phi_quotient_exact(self):
@@ -314,6 +325,13 @@ class TestDerivativeLimitProbe:
         assert rec.verdict == "not_applicable"
         assert "reason" in rec.details
         assert rec.details["spreads"]["nearby_above"] > 1.0
+
+    def test_input_error_propagates(self):
+        # eval_W rejects x = inf as a malformed call; only an
+        # EvaluationError makes a check not_applicable.
+        params = WeierstrassParams(0.5, 13)
+        with pytest.raises(InputError, match="finite"):
+            derivative_limit_probe(lambda x: eval_W(params, x), math.inf)
 
 
 class TestFullReport:
@@ -494,3 +512,28 @@ class TestReportMemo:
         # q = 3 lies outside the table: every check that asks raises again.
         assert failed[3.0] == calls[3.0] > 1
         assert all(calls[q] == 1 for q in calls if q not in failed)
+
+
+class TestContinuity:
+    def test_three_sweeps_of_200_points(self, monkeypatch):
+        calls = []
+        entropy = qentropy.axioms.generalized_entropy
+
+        def counted(d, f, q):
+            calls.append((d.probs, q))
+            return entropy(d, f, q)
+
+        monkeypatch.setattr(qentropy.axioms, "generalized_entropy", counted)
+        rec = check_continuity(TSALLIS)
+        assert len(calls) == 600
+        assert rec.sample_count == 597
+        # Both segment sweeps start at the uniform.
+        uniform = (1 / 3, 1 / 3, 1 / 3)
+        assert calls[200] == (uniform, 0.5) and calls[400] == (uniform, 2.0)
+
+    def test_evaluation_error_is_not_applicable(self):
+        flat = EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(),
+                             1.0, validated=False)
+        rec = check_continuity(flat)
+        assert rec.verdict == "not_applicable"
+        assert rec.details == {"reason": "evaluation failed: phi(0.1) = 0 away from q = 1"}

@@ -110,6 +110,22 @@ class TestEval:
         assert "evaluation error" in capsys.readouterr().err
 
 
+    def test_overflowing_term_exits_3(self, tmp_path, capsys):
+        spec = {
+            "phi": {"kind": "tsallis_phi"},
+            "alpha": {"kind": "tabulated", "points": [[0.01, 2.0], [10.0, 2.0]]},
+            "k": 1.0,
+            "validate": False,
+        }
+        fam = tmp_path / "alpha2.json"
+        fam.write_text(json.dumps(spec))
+        rc = main(["eval", "--family", str(fam), "--q", "2", "--dist", "[1.0,1e-310]",
+                   "--mode", "normalize"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error:") and "q=2.0" in err
+
+
 class TestInfoContent:
     def test_hand_value(self, tsallis_file, capsys):
         rc = main(["info-content", "--family", tsallis_file, "--q", "2",

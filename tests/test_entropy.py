@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -226,6 +227,24 @@ class TestInformationContent:
         with pytest.raises(EvaluationError) as info:
             information_content(family, q, p)
         assert f"q={q!r}" in str(info.value) and f"p={p!r}" in str(info.value)
+
+    def test_overflowing_numerator_with_finite_quotient(self):
+        # p^alpha = 2^1074 overflows expm1, but phi = 1e300 brings the
+        # quotient (2^1074 - 1) / phi back to about 2e23.
+        family = tsallis_family(1e-300)
+        exact = (Fraction(2) ** 1074 - 1) / Fraction(family.phi(2.0))
+        value = information_content(family, 2.0, 5e-324)
+        assert value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("entropy", [generalized_entropy, trace_expectation])
+def test_overflowing_term_is_evaluation_error(entropy):
+    # alpha = 2 makes the term p^(1 - alpha) = 1/p overflow for p = 1e-310.
+    family = EntropyFamily(tsallis_phi(1.0), tabulated([(0.01, 2.0), (10.0, 2.0)]), 1.0,
+                           validated=False)
+    d = make_distribution([1.0, 1e-310], "normalize")
+    with pytest.raises(EvaluationError, match=r"p\^-1\.0 of S_q at q=2\.0 overflows"):
+        entropy(d, family, 2.0)
 
 
 @pytest.mark.parametrize("call", [
