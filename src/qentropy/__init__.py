@@ -53,6 +53,7 @@ from .weierstrass import (
 )
 from .entropy import (
     EntropyValue,
+    entropies,
     generalized_entropy,
     information_content,
     pseudoadditive_compose,

@@ -27,10 +27,12 @@ import numpy as np
 
 from .deformation import EntropyFamily
 from .entropy import (
+    _stack,
+    _vanishing_phi,
+    entropies,
     generalized_entropy,
     information_content,
     pseudoadditive_compose,
-    suyari_entropy,
 )
 from .errors import EvaluationError, InputError, QentropyError
 from .simplex import (
@@ -129,8 +131,7 @@ def _worst(witnesses: list[tuple[float, dict]], keep: int = 3) -> tuple[dict, ..
 class _Residuals:
     """Running max residual, sample count and over-threshold witnesses of
     every check.  Used as a context manager around the check's evaluations:
-    an EvaluationError (or a ZeroDivisionError from a quotient of
-    evaluations) ends them and record() then reports not_applicable.
+    an EvaluationError ends them and record() then reports not_applicable.
     """
 
     def __init__(self, name: str, q_values: Sequence[float], threshold: float,
@@ -147,7 +148,7 @@ class _Residuals:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if isinstance(exc, (EvaluationError, ZeroDivisionError)):
+        if isinstance(exc, EvaluationError):
             self.error = exc
             return True
         return False
@@ -223,11 +224,11 @@ def check_maximality(
     with _Residuals(name, q_grid, 1e-10, start=-math.inf) as acc:
         for n in n_set:
             points = sample_simplex(n, samples, _check_seed(seed, name) + n)
-            uniform = uniform_distribution(n)
+            # The uniform is row 0, so it is evaluated first at every q.
+            P = np.array([uniform_distribution(n).probs] + [d.probs for d in points])
             for q in q_grid:
-                s_uniform = generalized_entropy(uniform, f, q).value
-                for d in points:
-                    entropy = generalized_entropy(d, f, q).value
+                s_uniform, *values = entropies(P, f, q)
+                for d, entropy in zip(points, values):
                     residual = entropy - s_uniform
                     acc.add(residual, lambda: {
                         "q": q,
@@ -274,40 +275,45 @@ def check_expandability(
     return acc.record(details={"off_shannon_gaps_informational": off_shannon})
 
 
-def _chain_parts(r: Refinement) -> tuple:
-    """The q-independent pieces of the chain rule for one refinement: the
-    flattened joint, the marginals, and (p_i, conditional) for each nonzero
-    row."""
-    marg = r.marginals()
-    conds = [(p_i, r.conditional(i)) for i, p_i in enumerate(marg.probs) if p_i != 0.0]
-    return r.flatten(), marg, conds
+def _chain_parts(refinements: Sequence[Refinement]) -> tuple:
+    """The q-independent pieces of the chain rule for a set of refinements,
+    stacked for entropies(): the flattened joints, the marginals, and the
+    conditionals of the nonzero rows with their p_i and the index of their
+    refinement."""
+    flats, margs, conds, weights, owners = [], [], [], [], []
+    for j, r in enumerate(refinements):
+        marg = r.marginals().probs
+        flats.append(r.flatten().probs)
+        margs.append(marg)
+        for i, p_i in enumerate(marg):
+            if p_i != 0.0:
+                conds.append(r.conditional(i).probs)
+                weights.append(p_i)
+                owners.append(j)
+    return _stack(flats), _stack(margs), _stack(conds), weights, owners
 
 
-def _additivity_residual(f: EntropyFamily, parts: tuple, q: float, mode: str) -> float:
-    """|LHS - RHS| of the generalized Shannon additivity for one refinement,
-    given its _chain_parts.
+def _additivity_residuals(f: EntropyFamily, parts: tuple, q: float,
+                          mode: str) -> list[float]:
+    """|LHS - RHS| of the generalized Shannon additivity for each refinement
+    of a _chain_parts set.
 
     mode selects the weight exponent: "suyari" uses p_i^q with the
     exponent-q entropy, "generalized" uses p_i^(1 - alpha(q)) with the
     generalized entropy.  Zero-marginal rows are skipped: their weight is 0
     whenever the exponent is positive, matching the limit of the sum.
     """
-    flat, marg, conds = parts
-    if mode == "suyari":
-        exponent = q
-        s_of = lambda d: suyari_entropy(d, f, q).value
-    else:
-        exponent = 1.0 - f.alpha(q)
-        s_of = lambda d: generalized_entropy(d, f, q).value
-    if exponent <= 0.0 and any(p == 0.0 for p in marg.probs):
+    flats, margs, conds, weights, owners = parts
+    exponent = q if mode == "suyari" else 1.0 - f.alpha(q)
+    if exponent <= 0.0 and (margs == 0.0).any():
         raise EvaluationError(
             f"zero marginal with weight exponent {exponent!r} <= 0"
         )
-    lhs = s_of(flat)
-    terms = [s_of(marg)]
-    for p_i, cond in conds:
-        terms.append(p_i**exponent * s_of(cond))
-    return abs(lhs - math.fsum(terms))
+    lhs = entropies(flats, f, q, mode)
+    terms = [[s] for s in entropies(margs, f, q, mode)]
+    for p_i, j, s in zip(weights, owners, entropies(conds, f, q, mode)):
+        terms[j].append(p_i**exponent * s)
+    return [abs(s - math.fsum(t)) for s, t in zip(lhs, terms)]
 
 
 def check_generalized_additivity(
@@ -322,10 +328,9 @@ def check_generalized_additivity(
         raise InputError(f"unknown mode {mode!r}")
     name = "shannon_additivity" if mode == "suyari" else "generalized_additivity"
     with _Residuals(name, q_grid, 1e-10) as acc:
-        for r in refinements:
-            parts = _chain_parts(r)
-            for q in q_grid:
-                residual = _additivity_residual(f, parts, q, mode)
+        parts = _chain_parts(refinements)
+        for q in q_grid:
+            for r, residual in zip(refinements, _additivity_residuals(f, parts, q, mode)):
                 acc.add(residual, lambda: {
                     "q": q,
                     "rows": [list(row) for row in r.rows],
@@ -457,7 +462,11 @@ def check_alpha_phi_limit(f: EntropyFamily) -> CheckRecord:
     """
 
     def ratio(q: float) -> float:
-        return f.alpha(q) / f.phi(q)
+        alpha_q = f.alpha(q)
+        phi_q = f.phi(q)
+        if phi_q == 0.0:
+            raise _vanishing_phi(q)
+        return alpha_q / phi_q
 
     return _limit_at_1("alpha_phi_limit", ratio, -f.k, "ratio", "deviations")
 
@@ -473,7 +482,10 @@ def check_phi_derivative_at_1(
     the deepest scale below _LIMIT_TOL on both sides, without net growth.
     """
     name = "phi_derivative_at_1"
-    phi_1 = phi(1.0)
+    with _Residuals(name, [], _LIMIT_TOL) as acc:
+        phi_1 = phi(1.0)
+    if acc.error is not None:
+        return acc.record()
     if abs(phi_1) > 1e-12:
         return _not_applicable(name, [], _LIMIT_TOL, f"phi(1) = {phi_1!r}, expected 0")
 
@@ -577,26 +589,22 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
     discontinuity would blow the slope up as the grid refines; smooth and
     Hoelder-continuous families stay far below.
     """
-    d_fixed = Distribution((0.5, 0.25, 0.25))
-
-    def toward_corner(t: float) -> Distribution:
-        """The point at t on the segment from the uniform toward (1, 0, 0)."""
-        p = [(1.0 - t) / 3.0 + (t if i == 0 else 0.0) for i in range(3)]
-        return Distribution(tuple([x / math.fsum(p) for x in p]))
-
-    # Each sweep: its grid, S at a grid point, and the witness naming a point.
+    d_fixed = np.array([[0.5, 0.25, 0.25]])
+    qs = np.linspace(0.1, 4.0, 200).tolist()
+    # The points at t on the segment from the uniform toward (1, 0, 0),
+    # built once for both segment sweeps.
     ts = np.linspace(0.0, 0.98, 200).tolist()
-    sweeps = [(np.linspace(0.1, 4.0, 200).tolist(),
-               lambda x: generalized_entropy(d_fixed, f, x).value,
-               lambda x: {"direction": "q", "q": x})]
-    for q in (0.5, 2.0):
-        sweeps.append((ts,
-                       lambda t, q=q: generalized_entropy(toward_corner(t), f, q).value,
-                       lambda t, q=q: {"direction": "p", "q": q, "t": t}))
+    corners = [[(1.0 - t) / 3.0 + (t if i == 0 else 0.0) for i in range(3)] for t in ts]
+    segment = np.array([[x / math.fsum(p) for x in p] for p in corners])
     slopes = []
     with _Residuals("continuity_probe", (), 100.0 * f.k) as acc:
-        for xs, entropy, where in sweeps:
-            values = [entropy(x) for x in xs]
+        # Each sweep: its grid, S over the grid, and the witness naming a point.
+        sweeps = [(qs, [entropies(d_fixed, f, q)[0] for q in qs],
+                   lambda x: {"direction": "q", "q": x})]
+        for q in (0.5, 2.0):
+            sweeps.append((ts, entropies(segment, f, q),
+                           lambda t, q=q: {"direction": "p", "q": q, "t": t}))
+        for xs, values, where in sweeps:
             slopes += [(abs(v1 - v0) / (x1 - x0), where, x1)
                        for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:])]
         slope, where, x1 = max(slopes, key=lambda s: s[0])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,13 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.probs)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only float64 array, converted once."""
+        values = np.array(self.probs, dtype=np.float64)
+        values.flags.writeable = False
+        return values
 
     def append_zero(self) -> "Distribution":
         """Distribution over one extra outcome of probability zero."""

@@ -222,16 +222,26 @@ class TestAlphaPhiLimit:
         assert rec.details["deviations_above"][0] > 1e-3
 
     def test_zero_phi_is_not_applicable(self):
-        # alpha/phi divides by phi directly; a zero phi is a failed evaluation.
+        # A zero phi raises PhiVanishes with the entropy routes' message.
         flat = EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(),
                              1.0, validated=False)
         rec = check_alpha_phi_limit(flat)
         assert rec.verdict == "not_applicable"
         assert rec.q_values == ()
-        assert rec.details == {"reason": "evaluation failed: float division by zero"}
+        assert rec.details == {
+            "reason": "evaluation failed: phi(1.001) = 0 away from q = 1"}
 
 
 class TestPhiDerivativeAtOne:
+    def test_phi_outside_its_table_at_1_is_not_applicable(self):
+        # phi(1.0) itself raises: that check is n/a and the report completes.
+        family = EntropyFamily(tabulated([(1.5, 0.5), (3.0, 2.0)]), one_minus_q_alpha(),
+                               1.0, validated=False)
+        rec = run_full_report(family).check("phi_derivative_at_1")
+        assert rec.verdict == "not_applicable"
+        assert rec.details == {
+            "reason": "evaluation failed: q=1.0 outside tabulated range [1.5, 3.0]"}
+
     def test_linear_phi_quotient_exact(self):
         rec = check_phi_derivative_at_1(tsallis_phi(1.0), 1.0)
         assert rec.verdict == "pass"
@@ -517,19 +527,21 @@ class TestReportMemo:
 class TestContinuity:
     def test_three_sweeps_of_200_points(self, monkeypatch):
         calls = []
-        entropy = qentropy.axioms.generalized_entropy
+        kernel = qentropy.axioms.entropies
 
-        def counted(d, f, q):
-            calls.append((d.probs, q))
-            return entropy(d, f, q)
+        def counted(P, f, q, form="generalized"):
+            calls.append((P, q))
+            return kernel(P, f, q, form)
 
-        monkeypatch.setattr(qentropy.axioms, "generalized_entropy", counted)
+        monkeypatch.setattr(qentropy.axioms, "entropies", counted)
         rec = check_continuity(TSALLIS)
-        assert len(calls) == 600
+        assert sum(len(P) for P, _ in calls) == 600
         assert rec.sample_count == 597
-        # Both segment sweeps start at the uniform.
+        # The q sweep is 200 one-row calls; each segment sweep is one batch
+        # of 200 rows that starts at the uniform.
+        assert [len(P) for P, _ in calls] == [1] * 200 + [200, 200]
         uniform = (1 / 3, 1 / 3, 1 / 3)
-        assert calls[200] == (uniform, 0.5) and calls[400] == (uniform, 2.0)
+        assert [(tuple(P[0]), q) for P, q in calls[200:]] == [(uniform, 0.5), (uniform, 2.0)]
 
     def test_evaluation_error_is_not_applicable(self):
         flat = EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(),

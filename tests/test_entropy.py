@@ -13,6 +13,7 @@ from qentropy.deformation import (
     weierstrass_family,
 )
 from qentropy.entropy import (
+    entropies,
     generalized_entropy,
     information_content,
     pseudoadditive_compose,
@@ -23,6 +24,7 @@ from qentropy.entropy import (
 from qentropy.errors import (
     DomainError,
     EvaluationError,
+    InputError,
     NegativeEntropy,
     PhiVanishes,
     ZeroWithNonpositiveExponent,
@@ -179,6 +181,11 @@ class TestGeneralized:
             for d in sample_simplex(n, 50, seed):
                 for q in Q_GRID:
                     assert generalized_entropy(d, family, q).value >= 0.0
+
+
+def test_entropies_rejects_unknown_form():
+    with pytest.raises(InputError, match="unknown form 'tsallis'"):
+        entropies(Distribution((0.5, 0.5)).array[None], TSALLIS, 2.0, "tsallis")
 
 
 class TestShannonLimit:

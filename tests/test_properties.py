@@ -29,6 +29,7 @@ from qentropy.deformation import (  # noqa: E402
     weierstrass_family,
 )
 from qentropy.entropy import (  # noqa: E402
+    entropies,
     generalized_entropy,
     information_content,
     suyari_entropy,
@@ -150,6 +151,38 @@ _Q = st.one_of(
 def test_routes_agree_with_reference_or_raise(values, q, kind, gamma, k_exp):
     d = make_distribution(values, "normalize")
     _check_all(kind, gamma, 10.0**k_exp, q, d)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(
+    rows=st.lists(_VALUES, min_size=1, max_size=6),
+    pad=st.integers(0, 3),
+    q=_Q,
+    kind=st.sampled_from(("tsallis", "power", "weierstrass")),
+    gamma=st.floats(min_value=0.1, max_value=3.0),
+    k_exp=st.integers(-300, 300),
+)
+def test_batched_rows_equal_one_row_calls(rows, pad, q, kind, gamma, k_exp):
+    """entropies() on NaN-padded ragged rows gives each row's 1-row value bit
+    for bit, or raises an EvaluationError exactly when some row does."""
+    f = _family(kind, gamma, 10.0**k_exp)
+    ds = [make_distribution(values, "normalize") for values in rows]
+    P = np.full((len(ds), max(map(len, ds)) + pad), np.nan)
+    for i, d in enumerate(ds):
+        P[i, :len(d)] = d.probs
+    for form, route in (("generalized", generalized_entropy),
+                        ("suyari", suyari_entropy), ("trace", trace_expectation)):
+        singles = []
+        for d in ds:
+            try:
+                singles.append(route(d, f, q).value.hex())
+            except EvaluationError:
+                singles.append(None)
+        if None in singles:
+            with pytest.raises(EvaluationError):
+                entropies(P, f, q, form)
+        else:
+            assert [v.hex() for v in entropies(P, f, q, form)] == singles, form
 
 
 def _large_histogram(seed: int, n: int = 10_000) -> Distribution:
