@@ -9,8 +9,8 @@ entropy -k sum p ln p in the limit q -> 1 whenever alpha(q)/phi(q) -> -k.
 
 Every entropy route runs through one array kernel, entropies(P, f, q, form),
 over the rows of a 2-D array: phi(q) and alpha(q) are evaluated once, the
-terms element-wise in numpy, and each row is summed with math.fsum.  The
-exactly rounded sum makes a row's value independent of the batch it was
+terms element-wise in numpy, and each row summed exactly rounded (math.fsum's
+result).  The exact sum makes a row's value independent of the batch it was
 computed in.  The single-distribution functions are 1-row calls.
 
 Numerical stability near q = 1: the numerator 1 - sum p^e loses digits to
@@ -48,7 +48,7 @@ from .errors import (
     PhiVanishes,
     ZeroWithNonpositiveExponent,
 )
-from .simplex import Distribution
+from .simplex import Distribution, _fsum
 
 _CLAMP = 1e-12
 _FORMS = ("generalized", "suyari", "trace")
@@ -72,18 +72,80 @@ def _finish(value: float, q: float, validated: bool) -> float:
     return value
 
 
-def _row_sums(terms: np.ndarray, positive: np.ndarray) -> list[float]:
-    """math.fsum of each row over the entries with p > 0; an intermediate
-    overflow reads inf.  The other entries count as 0, which an exactly
-    rounded sum ignores, so a row sums the same whatever padding or rows
-    surround it."""
+# Rows this long are summed in integers (_mantissa_sums) rather than by
+# math.fsum, which makes a Python float per entry.  frexp writes a finite
+# double as m 2^e with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer
+# M = m 2^53, and e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are
+# binned by (row, 8-binade band of e - 53), M is shifted left by its place in
+# the band and split into a high and a low half (|M| >> 26 < 2^27, low 26
+# bits), and the halves add up in int64 bins: each term is below 2^34, so a
+# bin cannot overflow in a row shorter than _LONG_ROW_MAX.  Blocks of
+# _BLOCK entries keep the temporaries small.
+_LONG_ROW = 1024
+_LONG_ROW_MAX = 1 << 29
+_BLOCK = 8192
+_EXP_MIN = -1126
+_BANDS = ((1024 - 53 - _EXP_MIN) >> 3) + 1
+
+
+def _exact_float(total: int, exponent: int) -> float:
+    """total * 2^exponent, correctly rounded half-even; inf on overflow."""
+    try:
+        return float(total << exponent) if exponent >= 0 else total / (1 << -exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _mantissa_sums(X: np.ndarray) -> list[float]:
+    """Correctly rounded sum of each row of the finite C-contiguous X."""
+    rows, cols = X.shape
+    hi = np.zeros(rows * _BANDS, np.int64)
+    lo = np.zeros(rows * _BANDS, np.int64)
+    flat = X.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        m, e = np.frexp(flat[start:start + _BLOCK])
+        m *= 2.0 ** 53
+        mant = m.astype(np.int64)
+        e -= 53 + _EXP_MIN
+        band = np.right_shift(e, 3, dtype=np.int64)
+        place = np.bitwise_and(e, 7, dtype=np.int64)
+        if rows > 1:
+            band += np.arange(start, start + mant.size) // cols * _BANDS
+        np.add.at(hi, band, (mant >> 26) << place)
+        mant &= (1 << 26) - 1
+        mant <<= place
+        np.add.at(lo, band, mant)
+    hi = hi.reshape(rows, _BANDS)
+    lo = lo.reshape(rows, _BANDS)
+    used = np.flatnonzero((hi | lo).any(axis=0))
+    if not used.size:
+        return [0.0] * rows
+    first, stop = int(used[0]), int(used[-1]) + 1
     sums = []
-    for row in np.where(positive, terms, 0.0):
-        try:
-            sums.append(math.fsum(row))
-        except OverflowError:
-            sums.append(math.inf)
+    for his, los in zip(hi[:, first:stop].tolist(), lo[:, first:stop].tolist()):
+        total = 0
+        for h, l in zip(reversed(his), reversed(los)):
+            total = (total << 8) + (h << 26) + l
+        sums.append(_exact_float(total, 8 * first + _EXP_MIN))
     return sums
+
+
+def _row_sums(terms: np.ndarray, positive: np.ndarray) -> list[float]:
+    """The correctly rounded sum of each row over the entries with p > 0,
+    as math.fsum gives it; where fsum overflows it reads inf.  The other
+    entries are set to 0 in place, which an exactly rounded sum ignores, so
+    a row sums the same whatever padding or rows surround it.
+
+    Short rows and rows with a non-finite term go to math.fsum, long finite
+    rows to _mantissa_sums.  fsum overflows where a partial sum does; the
+    kernel's rows are single-signed, so that is where the sum itself does."""
+    np.copyto(terms, 0.0, where=~positive)
+    if not _LONG_ROW <= terms.shape[1] < _LONG_ROW_MAX:
+        return [_fsum(memoryview(row)) for row in terms]
+    finite = np.isfinite(terms).all(axis=1).tolist()
+    exact = iter(_mantissa_sums(terms if all(finite) else terms[finite]))
+    return [next(exact) if ok else _fsum(memoryview(row))
+            for ok, row in zip(finite, terms)]
 
 
 def _require_zeros_allowed(P: np.ndarray, e: float) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,25 +38,48 @@ SUM_TOL = 1e-12
 # up: about 2.5 MB of resident memory over the first 40 axiom reports.
 
 
-def _as_prob_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
-    entries = tuple([float(v) for v in values])
+def _fsum(values: Iterable[float]) -> float:
+    """Correctly rounded sum; inf where it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _prob_entries(values: Iterable[float], what: str) -> tuple[tuple[float, ...], float]:
+    """values as a tuple of finite nonnegative floats, and their correctly
+    rounded sum, inf where it overflows.
+
+    A valid input is checked at C speed: min() >= 0 rules out a negative
+    entry (a NaN first entry makes the min NaN), and a finite fsum rules out
+    NaN and inf.  Only an input that fails is scanned entry by entry, to
+    name its first offending entry.
+    """
+    entries = tuple([*map(float, values)])
     if not entries:
         raise InputError(f"{what} must have at least one entry")
+    if min(entries) >= 0.0:
+        total = _fsum(entries)
+        if total < math.inf:
+            return entries, total
     for i, v in enumerate(entries):
         if not math.isfinite(v):
             raise InputError(f"{what} entry {i} is not finite: {v!r}")
         if v < 0.0:
             raise NegativeEntry(f"{what} entry {i} is negative: {v!r}")
-    return entries
+    return entries, math.inf
 
 
-def _total(entries: Iterable[float], what: str) -> float:
-    """Correctly rounded sum of finite nonnegative entries; a sum beyond the
-    float range is an input error, not an arithmetic one."""
-    try:
-        return math.fsum(entries)
-    except OverflowError as exc:
-        raise InputError(f"{what} entries sum beyond the float range") from exc
+def _finite_total(total: float, what: str) -> float:
+    """A sum beyond the float range is an input error, not an arithmetic one."""
+    if total == math.inf:
+        raise InputError(f"{what} entries sum beyond the float range")
+    return total
+
+
+def _require_normalized(total: float) -> None:
+    if abs(total - 1.0) > SUM_TOL:
+        raise NotNormalized(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +89,19 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = _as_prob_tuple(self.probs, "distribution")
-        total = _total(probs, "distribution")
-        if abs(total - 1.0) > SUM_TOL:
-            raise NotNormalized(
-                f"entries sum to {total!r}, not 1 within {SUM_TOL}"
-            )
+        probs, total = _prob_entries(self.probs, "distribution")
+        _require_normalized(_finite_total(total, "distribution"))
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _of_valid_entries(cls, probs: tuple[float, ...]) -> "Distribution":
+        """A Distribution over floats known to be finite and nonnegative,
+        such as quotients v / total of checked entries: only the sum is
+        checked."""
+        _require_normalized(math.fsum(probs))
+        d = object.__new__(cls)
+        object.__setattr__(d, "probs", probs)
+        return d
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -89,7 +118,7 @@ class Distribution:
         return Distribution(self.probs + (0.0,))
 
 
-def make_distribution(values: Sequence[float], mode: str = "strict") -> Distribution:
+def make_distribution(values: Iterable[float], mode: str = "strict") -> Distribution:
     """Build a Distribution from raw nonnegative values.
 
     In ``strict`` mode the values must already sum to one within 1e-12; in
@@ -99,14 +128,13 @@ def make_distribution(values: Sequence[float], mode: str = "strict") -> Distribu
     """
     if mode not in ("strict", "normalize"):
         raise InputError(f"unknown mode {mode!r}, expected 'strict' or 'normalize'")
+    entries, total = _prob_entries(values, "distribution")
+    total = _finite_total(total, "distribution")
     if mode == "strict":
-        entries = Distribution(values).probs
-    else:
-        entries = _as_prob_tuple(values, "distribution")
-    total = _total(entries, "distribution")
+        _require_normalized(total)
     if total <= 0.0:
         raise ZeroSum("cannot normalize an all-zero vector")
-    return Distribution(tuple([v / total for v in entries]))
+    return Distribution._of_valid_entries(tuple([v / total for v in entries]))
 
 
 def uniform_distribution(n: int) -> Distribution:
@@ -124,9 +152,9 @@ class Refinement:
     def __post_init__(self) -> None:
         if not self.rows:
             raise InputError("refinement must have at least one row")
-        rows = tuple(_as_prob_tuple(row, f"refinement row {i}")
+        rows = tuple(_prob_entries(row, f"refinement row {i}")[0]
                      for i, row in enumerate(self.rows))
-        total = _total((c for row in rows for c in row), "refinement")
+        total = _finite_total(_fsum(c for row in rows for c in row), "refinement")
         if abs(total - 1.0) > SUM_TOL:
             raise NotNormalized(
                 f"cells sum to {total!r}, not 1 within {SUM_TOL}"

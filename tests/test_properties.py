@@ -10,9 +10,13 @@ raises an EvaluationError or lands within
 
 s = k at q = 1 and 1/|phi(q)| otherwise; the second term is the underflow
 grid of n terms divided by phi.
+
+The kernel's exactly rounded row sums are held to math.fsum itself, bit
+for bit.
 """
 
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +33,9 @@ from qentropy.deformation import (  # noqa: E402
     weierstrass_family,
 )
 from qentropy.entropy import (  # noqa: E402
+    _BLOCK,
+    _LONG_ROW,
+    _row_sums,
     entropies,
     generalized_entropy,
     information_content,
@@ -153,20 +160,33 @@ def test_routes_agree_with_reference_or_raise(values, q, kind, gamma, k_exp):
     _check_all(kind, gamma, 10.0**k_exp, q, d)
 
 
+def _long_row(n: int) -> list[float]:
+    """A seeded histogram of n entries with zeros and subnormals."""
+    rng = np.random.default_rng(n)
+    values = rng.exponential(size=n)
+    values[rng.random(n) < 0.1] = 0.0
+    values[:3] = (5e-324, 1e-310, 1e-250)
+    return values.tolist()
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=500)
 @given(
     rows=st.lists(_VALUES, min_size=1, max_size=6),
+    long_rows=st.lists(st.integers(9_000, 11_000), max_size=2),
     pad=st.integers(0, 3),
     q=_Q,
     kind=st.sampled_from(("tsallis", "power", "weierstrass")),
     gamma=st.floats(min_value=0.1, max_value=3.0),
     k_exp=st.integers(-300, 300),
 )
-def test_batched_rows_equal_one_row_calls(rows, pad, q, kind, gamma, k_exp):
+def test_batched_rows_equal_one_row_calls(rows, long_rows, pad, q, kind, gamma, k_exp):
     """entropies() on NaN-padded ragged rows gives each row's 1-row value bit
-    for bit, or raises an EvaluationError exactly when some row does."""
+    for bit, or raises an EvaluationError exactly when some row does.  With
+    rows of ~10^4 entries the batch is summed in integers while the short
+    rows' 1-row calls use math.fsum."""
     f = _family(kind, gamma, 10.0**k_exp)
-    ds = [make_distribution(values, "normalize") for values in rows]
+    ds = [make_distribution(values, "normalize")
+          for values in rows + [_long_row(n) for n in long_rows]]
     P = np.full((len(ds), max(map(len, ds)) + pad), np.nan)
     for i, d in enumerate(ds):
         P[i, :len(d)] = d.probs
@@ -183,6 +203,49 @@ def test_batched_rows_equal_one_row_calls(rows, pad, q, kind, gamma, k_exp):
                 entropies(P, f, q, form)
         else:
             assert [v.hex() for v in entropies(P, f, q, form)] == singles, form
+
+
+_CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1,
+                _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    rows=st.integers(1, 3),
+    length=st.sampled_from(_CUT_LENGTHS),
+    exponents=st.lists(st.integers(-1074, 1024), min_size=2, max_size=2).map(sorted),
+    sign=st.sampled_from(("+", "-", "mixed")),
+    zero_share=st.sampled_from((0.0, 0.1, 0.9)),
+    special=st.sampled_from((None, math.inf, math.nan)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special, seed):
+    """_row_sums is math.fsum of each row's p > 0 entries, bit for bit, on
+    both sides of the length cut and across block edges: terms m 2^e with e
+    anywhere from the subnormals to the top of the range, exact zeros, and
+    NaN in the entries outside the mask.  An fsum that overflows reads inf;
+    on a mixed-sign row the exact sum may not overflow, so such rows are
+    not compared."""
+    rng = np.random.default_rng(seed)
+    shape = (rows, length)
+    terms = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(*exponents, shape,
+                                                                 endpoint=True))
+    terms[rng.random(shape) < zero_share] = 0.0
+    if sign != "+":
+        terms *= -1.0 if sign == "-" else rng.choice((-1.0, 1.0), shape)
+    positive = rng.random(shape) >= 0.05
+    if special is not None:
+        at = rng.integers(length)
+        terms[0, at], positive[0, at] = special, True
+    terms[~positive] = np.nan
+    want = []
+    for row, mask in zip(terms, positive):
+        try:
+            want.append(math.fsum(row[mask].tolist()).hex())
+        except OverflowError:
+            want.append(None if sign == "mixed" else math.inf.hex())
+    got = _row_sums(terms.copy(), positive)
+    assert [None if w is None else g.hex() for g, w in zip(got, want)] == want
 
 
 def _large_histogram(seed: int, n: int = 10_000) -> Distribution:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from qentropy.errors import (
@@ -65,6 +66,72 @@ class TestMakeDistribution:
     def test_uniform(self):
         u = uniform_distribution(4)
         assert u.probs == (0.25, 0.25, 0.25, 0.25)
+
+
+NAN, INF = math.nan, math.inf
+
+# One case per way an input can be refused: the first offending entry is
+# named, a non-finite entry before a negative one wins, and an overflowing
+# sum is reported only when no entry is at fault.
+_REFUSED = [
+    ([0.5, NAN, 0.5], InputError, "distribution entry 1 is not finite: nan"),
+    ([0.5, 0.5, INF], InputError, "distribution entry 2 is not finite: inf"),
+    ([-INF, 1.0], InputError, "distribution entry 0 is not finite: -inf"),
+    ([NAN, -1.0], InputError, "distribution entry 0 is not finite: nan"),
+    ([1.0, NAN, -1.0], InputError, "distribution entry 1 is not finite: nan"),
+    ([1.0, -1.0, NAN], NegativeEntry, "distribution entry 1 is negative: -1.0"),
+    ([1.0, INF, -INF], InputError, "distribution entry 1 is not finite: inf"),
+    ([0.5, -0.0, -5e-324], NegativeEntry, "distribution entry 2 is negative: -5e-324"),
+    ([1e308, 1e308, -1.0], NegativeEntry, "distribution entry 2 is negative: -1.0"),
+    ([1e308, 1e308, NAN], InputError, "distribution entry 2 is not finite: nan"),
+    ([1e308, 1e308, 1.0], InputError, "distribution entries sum beyond the float range"),
+    ([], InputError, "distribution must have at least one entry"),
+]
+
+
+def _refusal(call) -> tuple[type, str]:
+    with pytest.raises(InputError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestValidationErrors:
+    @pytest.mark.parametrize("mode", ["normalize", "strict"])
+    @pytest.mark.parametrize("values,cls,message", _REFUSED)
+    def test_list_input(self, values, cls, message, mode):
+        assert _refusal(lambda: make_distribution(values, mode)) == (cls, message)
+        assert _refusal(lambda: Distribution(tuple(values))) == (cls, message)
+
+    @pytest.mark.parametrize("values,cls,message", _REFUSED)
+    def test_array_and_generator_input(self, values, cls, message):
+        array = np.array(values, dtype=np.float64)
+        assert _refusal(lambda: make_distribution(array, "normalize")) == (cls, message)
+        assert _refusal(
+            lambda: make_distribution((v for v in values), "normalize")) == (cls, message)
+
+    def test_array_and_generator_input_accepted(self):
+        for values in (np.array([2.0, 1.0, 1.0]), (v for v in (2, 1, 1))):
+            assert make_distribution(values, "normalize").probs == (0.5, 0.25, 0.25)
+
+    def test_sum_checks_after_entry_checks(self):
+        assert _refusal(lambda: make_distribution([0.0, 0.0], "normalize")) == (
+            ZeroSum, "cannot normalize an all-zero vector")
+        assert _refusal(lambda: make_distribution([0.25, 0.5], "strict")) == (
+            NotNormalized, "entries sum to 0.75, not 1 within 1e-12")
+
+    def test_refinement_names_the_row(self):
+        assert _refusal(lambda: Refinement(((0.5,), (0.5, -0.0, NAN)))) == (
+            InputError, "refinement row 1 entry 2 is not finite: nan")
+        assert _refusal(lambda: Refinement(((1e308, 1e308), (-1.0,)))) == (
+            NegativeEntry, "refinement row 1 entry 0 is negative: -1.0")
+
+    def test_array_is_the_divided_entries(self):
+        values = [3.0, 1e-310, 0.0, 7.0]
+        d = make_distribution(values, "normalize")
+        total = math.fsum(values)
+        assert d.probs == tuple(v / total for v in values)
+        assert d.array.tolist() == list(d.probs)
+        assert not d.array.flags.writeable
 
 
 class TestRefinement:
