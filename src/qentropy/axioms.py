@@ -349,21 +349,15 @@ def check_pseudoadditivity(
     relative to 1 + |I(p1 p2)|."""
     name = "pseudoadditivity"
     rng = np.random.default_rng(_check_seed(seed, name))
-    pairs = 1.0 - rng.random((samples, 2))  # values in (0, 1]
+    p1s, p2s = 1.0 - rng.random((samples, 2)).T  # values in (0, 1]
     with _Residuals(name, q_grid, 1e-10) as acc:
         for q in q_grid:
-            for p1, p2 in pairs:
-                p1, p2 = float(p1), float(p2)
-                joint = information_content(f, q, p1 * p2)
-                composed = pseudoadditive_compose(
-                    f, q,
-                    information_content(f, q, p1),
-                    information_content(f, q, p2),
-                )
-                residual = abs(joint - composed) / (1.0 + abs(joint))
-                acc.add(residual, lambda: {
-                    "q": q, "p1": p1, "p2": p2, "residual": residual,
-                })
+            joint = information_content(f, q, p1s * p2s)
+            composed = pseudoadditive_compose(
+                f, q, information_content(f, q, p1s), information_content(f, q, p2s))
+            residuals = np.abs(joint - composed) / (1.0 + np.abs(joint))
+            for p1, p2, residual in zip(p1s.tolist(), p2s.tolist(), residuals.tolist()):
+                acc.add(residual, lambda: {"q": q, "p1": p1, "p2": p2, "residual": residual})
     return acc.record()
 
 
@@ -565,7 +559,7 @@ def check_convexity_of_I(
     per_q = []
     with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
         for q in q_grid:
-            values = [information_content(f, q, p) for p in ps]
+            values = information_content(f, q, np.array(ps)).tolist()
             witnesses_before = len(acc.witnesses)
             for (x1, v1), (x2, v2), (x3, v3) in zip(
                 zip(ps, values), zip(ps[1:], values[1:]), zip(ps[2:], values[2:])

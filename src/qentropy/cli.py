@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .axioms import CheckConfig, run_full_report
-from .deformation import family_from_spec
+from .deformation import _check_q, family_from_spec
 from .entropy import generalized_entropy, information_content
 from .errors import EvaluationError, InputError, QentropyError
 from .simplex import make_distribution
@@ -83,16 +83,9 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _check_q(q: float, flag: str) -> None:
-    if not q > 0.0:
-        raise InputError(f"{flag} must be positive, got {q!r}")
-    if q == math.inf:
-        raise InputError(f"{flag} must be finite, got {q!r}")
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
-    _check_q(args.q, "--q")
+    _check_q(args.q, "--q", InputError)
     dist = make_distribution(_load_values(args.dist), args.mode)
     result = generalized_entropy(dist, family, args.q)
     if args.json:
@@ -108,7 +101,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_info_content(args: argparse.Namespace) -> int:
     family = _load_family(args.family)
-    _check_q(args.q, "--q")
+    _check_q(args.q, "--q", InputError)
     if not 0.0 < args.p <= 1.0:
         raise InputError(f"--p must be in (0, 1], got {args.p!r}")
     value = information_content(family, args.q, args.p)
@@ -137,7 +130,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     if args.q_list:
         cfg_kwargs["q_grid"] = _parse_float_list(args.q_list, "--q-list")
         for q in cfg_kwargs["q_grid"]:
-            _check_q(q, "--q-list")
+            _check_q(q, "--q-list", InputError)
     if args.dims:
         dims = _parse_float_list(args.dims, "--dims")
         if any(d != int(d) or d < 1 for d in dims):

@@ -65,12 +65,12 @@ class DeformationFunction:
         return spec
 
 
-def _check_q(q: float) -> None:
-    """The one domain check on q for every kind and every entropy route."""
+def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
+    """The one domain check on q: every kind, every entropy route, the CLI's q flags."""
     if not q > 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+        raise error(f"{label} must be positive, got {q!r}")
     if q == math.inf:
-        raise DomainError(f"q must be finite, got {q!r}")
+        raise error(f"{label} must be finite, got {q!r}")
 
 
 def _interpolate(f: DeformationFunction, q: float) -> float:

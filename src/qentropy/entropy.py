@@ -11,7 +11,10 @@ Every entropy route runs through one array kernel, entropies(P, f, q, form),
 over the rows of a 2-D array: phi(q) and alpha(q) are evaluated once, the
 terms element-wise in numpy, and each row summed exactly rounded (math.fsum's
 result).  The exact sum makes a row's value independent of the batch it was
-computed in.  The single-distribution functions are 1-row calls.
+computed in.  The single-distribution functions are 1-row calls.  One
+element-wise kernel likewise gives information content I_q(p) =
+expm1(alpha(q) ln p) / phi(q), to information_content (a float or an
+array p) and to the trace route, which weights it by p^(1 - alpha(q)).
 
 Numerical stability near q = 1: the numerator 1 - sum p^e loses digits to
 cancellation as the exponent e approaches 1, so it is computed as
@@ -207,27 +210,36 @@ def _quotient_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily, q: flo
     return [-total / phi_q for total in sums]
 
 
+def _information(P: np.ndarray, alpha_q: float, phi_q: float) -> np.ndarray:
+    """I_q(p) = expm1(z) / phi(q) with z = alpha(q) ln p, element-wise, q != 1."""
+    values = np.log(P)
+    values *= alpha_q
+    np.expm1(values, out=values)
+    over = (values == np.inf) & (P > 0.0)  # at p = 0, z = inf: I_q is inf
+    values /= phi_q
+    if over.any():
+        # p^alpha > 1.8e308, so the -1 is far below an ulp: divide in logs.
+        z = alpha_q * np.log(P[over])
+        values[over] = np.copysign(np.exp(z - math.log(abs(phi_q))), phi_q)
+    return values
+
+
 def _trace_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily,
                 q: float) -> list[float]:
-    """sum_i e_q(p_i) I_q(p_i) per row, term by term as weight times
-    information content: e_q(p) = p^(1 - alpha(q)), I_q(p) = expm1(z)/phi(q)
-    with z = alpha(q) ln p."""
+    """sum_i e_q(p_i) I_q(p_i) per row: weight e_q(p) = p^(1 - alpha(q)) times _information."""
     alpha_q = f.alpha(q)
     e = 1.0 - alpha_q
     _require_zeros_allowed(P, e)
     phi_q = _phi_at(f, q)
-    terms = np.log(P)
-    terms *= alpha_q
+    terms = _information(P, alpha_q, phi_q)
     weight = P ** e
-    # Where z > 1, p^e = p exp(-z) < p / 2.7, so the equal form p - p^e has
-    # no cancellation; the product form would overflow expm1 or underflow
-    # p^e to 0 next to a huge I_q(p).
-    large = terms > 1.0
-    np.expm1(terms, out=terms)
     terms *= weight
-    np.subtract(P, weight, out=weight)
-    np.copyto(terms, weight, where=large)
-    terms /= phi_q
+    if alpha_q < 0.0:
+        # Where z > 1 (p < exp(1/alpha)), p^e = p exp(-z) < p / 2.7: the equal
+        # form (p - p^e) / phi has no cancellation, the product would underflow.
+        large = P < math.exp(1.0 / alpha_q)
+        np.subtract(P, weight, out=weight)
+        np.divide(weight, phi_q, out=terms, where=large)
     sums = _row_sums(terms, positive)
     if not all(map(math.isfinite, sums)):
         raise _term_overflow(q, e)
@@ -298,42 +310,43 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
     return EntropyValue(entropies(d.array[None], f, q, "trace")[0], q)
 
 
-def information_content(f: EntropyFamily, q: float, p: float) -> float:
-    """Surprise of an outcome of probability p:
+def information_content(f: EntropyFamily, q: float,
+                        p: float | np.ndarray) -> float | np.ndarray:
+    """Surprise of an outcome of probability p, element-wise over an array:
 
         I_q(p) = (p^alpha(q) - 1) / phi(q),    I_1(p) = -k ln p.
 
-    A value that is not finite (p^alpha(q) beyond the float range) is an
-    EvaluationError naming q and p.
+    A float p gives a float.  A p outside (0, 1] is a DomainError, and a
+    value that is not finite an EvaluationError naming q and the first such p.
     """
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"p must be in (0, 1], got {p!r}")
-    if q == 1.0:
-        return -f.k * math.log(p)
-    z = f.alpha(q) * math.log(p)
-    phi_q = _phi_at(f, q)
-    try:
-        value = math.expm1(z) / phi_q
-    except OverflowError:
-        # p^alpha > 1.8e308, so the -1 is far below an ulp: divide in logs.
-        try:
-            value = math.copysign(math.exp(z - math.log(abs(phi_q))), phi_q)
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):
-        raise EvaluationError(f"I_q(p) at q={q!r}, p={p!r} is not finite ({value!r})")
-    return value
+    flat = np.asarray(p, dtype=float).reshape(-1)
+    inside = (flat > 0.0) & (flat <= 1.0)
+    if not inside.all():
+        raise DomainError(f"p must be in (0, 1], got {flat[inside.argmin()].item()!r}")
+    with np.errstate(all="ignore"):
+        values = (-f.k * np.log(flat) if q == 1.0
+                  else _information(flat, f.alpha(q), _phi_at(f, q)))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = finite.argmin()
+        raise EvaluationError(f"I_q(p) at q={q!r}, p={flat[i].item()!r} "
+                              f"is not finite ({values[i].item()!r})")
+    return values.reshape(np.shape(p)) if np.ndim(p) else values.item()
 
 
-def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float, i2: float) -> float:
-    """Composition law for independent surprises:
+def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float | np.ndarray,
+                           i2: float | np.ndarray) -> float | np.ndarray:
+    """Composition law for independent surprises, element-wise over arrays:
 
         i1 (+) i2 = i1 + i2 + phi(q) * i1 * i2.
 
     phi(1) = 0 makes q = 1 ordinary additivity.  A composition beyond the
     float range is an EvaluationError naming q.
     """
-    value = i1 + i2 + f.phi(q) * i1 * i2
-    if not math.isfinite(value):
-        raise EvaluationError(f"i1 (+) i2 at q={q!r} is not finite ({value!r})")
+    with np.errstate(all="ignore"):
+        value = i1 + i2 + f.phi(q) * i1 * i2
+    finite = np.isfinite(value)
+    if not finite.all():
+        first = np.ravel(value)[finite.argmin()].item()
+        raise EvaluationError(f"i1 (+) i2 at q={q!r} is not finite ({first!r})")
     return value

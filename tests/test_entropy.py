@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qentropy.deformation import (
@@ -33,6 +35,12 @@ from qentropy.simplex import Distribution, make_distribution, sample_simplex
 
 TSALLIS = tsallis_family(1.0)
 Q_GRID = (0.5, 0.9, 1.0, 1.1, 2.0, 3.0)
+
+
+def _among_ordinary(p: float) -> np.ndarray:
+    """p as the second entry of an array call, after a certain outcome (finite
+    at every q) and before entries that may fail too."""
+    return np.array([1.0, p, 0.5, 1e-3])
 
 
 class TestShannon:
@@ -212,16 +220,21 @@ class TestInformationContent:
     def test_hand_value_q2(self):
         # (0.5^-1 - 1) / 1
         assert information_content(TSALLIS, 2.0, 0.5) == pytest.approx(1.0, rel=1e-15)
+        # An array gives an array of its shape.
+        values = information_content(TSALLIS, 2.0, np.array([[0.5, 0.25], [1.0, 0.125]]))
+        assert values.shape == (2, 2)
+        assert values == pytest.approx(np.array([[1.0, 3.0], [0.0, 7.0]]), rel=1e-15)
 
     def test_shannon_point(self):
         assert information_content(TSALLIS, 1.0, math.exp(-1.0)) == pytest.approx(
             1.0, rel=1e-15
         )
 
+    @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
-    def test_domain(self, p):
-        with pytest.raises(DomainError):
-            information_content(TSALLIS, 2.0, p)
+    def test_domain(self, p, as_array):
+        with pytest.raises(DomainError, match=re.escape(f"got {p!r}")):
+            information_content(TSALLIS, 2.0, _among_ordinary(p) if as_array else p)
 
     @pytest.mark.parametrize("family,q,p", [
         # p^alpha(q) = 0.1^-799 is beyond the float range.
@@ -230,18 +243,23 @@ class TestInformationContent:
         # p^alpha(q) - 1 = 2^799 is finite; dividing by phi = 799e-300 is not.
         (tsallis_family(1e300), 800.0, 0.5),
     ])
-    def test_overflow_is_evaluation_error(self, family, q, p):
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_overflow_is_evaluation_error(self, family, q, p, as_array):
         with pytest.raises(EvaluationError) as info:
-            information_content(family, q, p)
+            information_content(family, q, _among_ordinary(p) if as_array else p)
         assert f"q={q!r}" in str(info.value) and f"p={p!r}" in str(info.value)
 
-    def test_overflowing_numerator_with_finite_quotient(self):
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_overflowing_numerator_with_finite_quotient(self, as_array):
         # p^alpha = 2^1074 overflows expm1, but phi = 1e300 brings the
         # quotient (2^1074 - 1) / phi back to about 2e23.
         family = tsallis_family(1e-300)
         exact = (Fraction(2) ** 1074 - 1) / Fraction(family.phi(2.0))
         value = information_content(family, 2.0, 5e-324)
         assert value == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+        if as_array:
+            values = information_content(family, 2.0, _among_ordinary(5e-324))
+            assert values[1] == value
 
 
 @pytest.mark.parametrize("entropy", [generalized_entropy, trace_expectation])
@@ -276,28 +294,26 @@ class TestPseudoadditiveCompose:
         assert pseudoadditive_compose(TSALLIS, 2.0, 1.0, 1.0) == 3.0
         assert information_content(TSALLIS, 2.0, 0.25) == pytest.approx(3.0, rel=1e-15)
 
-    def test_overflow_is_evaluation_error(self):
-        with pytest.raises(EvaluationError, match="q=2.0"):
-            pseudoadditive_compose(TSALLIS, 2.0, 1e200, 1e200)
+    @pytest.mark.parametrize("i", [1e200, np.array([1.0, 1e200, 2.0])])
+    def test_overflow_is_evaluation_error(self, i):
+        with pytest.raises(EvaluationError, match=r"q=2\.0 is not finite \(inf\)"):
+            pseudoadditive_compose(TSALLIS, 2.0, i, i)
 
     def test_plain_additivity_at_q1(self):
         assert pseudoadditive_compose(TSALLIS, 1.0, 2.0, 3.0) == 5.0
 
     def test_closure_property(self):
         # I(p1 p2) must equal the composition for random pairs in (0, 1].
-        import numpy as np
         rng = np.random.default_rng(7)
-        pairs = 1.0 - rng.random((1000, 2))
+        p1, p2 = (1.0 - rng.random((1000, 2))).T
         for q in Q_GRID:
-            for p1, p2 in pairs:
-                p1, p2 = float(p1), float(p2)
-                joint = information_content(TSALLIS, q, p1 * p2)
-                composed = pseudoadditive_compose(
-                    TSALLIS, q,
-                    information_content(TSALLIS, q, p1),
-                    information_content(TSALLIS, q, p2),
-                )
-                assert abs(joint - composed) <= 1e-10 * (1.0 + abs(joint))
+            joint = information_content(TSALLIS, q, p1 * p2)
+            composed = pseudoadditive_compose(
+                TSALLIS, q,
+                information_content(TSALLIS, q, p1),
+                information_content(TSALLIS, q, p2),
+            )
+            assert np.all(np.abs(joint - composed) <= 1e-10 * (1.0 + np.abs(joint)))
 
 
 class TestTraceExpectation:

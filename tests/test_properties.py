@@ -12,7 +12,7 @@ s = k at q = 1 and 1/|phi(q)| otherwise; the second term is the underflow
 grid of n terms divided by phi.
 
 The kernel's exactly rounded row sums are held to math.fsum itself, bit
-for bit.
+for bit, and an array call of information_content to its 1-element calls.
 """
 
 import importlib.util
@@ -90,13 +90,13 @@ def _reference(kind: str, gamma: float, k: float, q: float, probs):
         return quotient(-alpha), quotient(h), info, 1 / abs(phi)
 
 
-def _agrees(call, ref, n: int, s) -> bool:
-    """False when call() raised an EvaluationError; asserts the bound otherwise."""
+def _agrees(call, ref, n: int, s) -> float | EvaluationError:
+    """call()'s value, asserted within the bound, or the EvaluationError it raised."""
     try:
         value = call()
     except EvaluationError as exc:
         note(f"{type(exc).__name__}: {exc}")
-        return False
+        return exc
     value = getattr(value, "value", value)
     with mpmath.workdps(DPS):
         bound = REL_TOL * abs(ref) + _TINIEST * (1 + n * s)
@@ -104,7 +104,7 @@ def _agrees(call, ref, n: int, s) -> bool:
         assert error <= bound, (
             f"value {value!r}, reference {mpmath.nstr(ref, 20)}, "
             f"error {mpmath.nstr(error, 5)} > bound {mpmath.nstr(bound, 5)}")
-    return True
+    return value
 
 
 def _check_all(kind: str, gamma: float, k: float, q: float, d: Distribution) -> int:
@@ -113,13 +113,26 @@ def _check_all(kind: str, gamma: float, k: float, q: float, d: Distribution) -> 
     f = _family(kind, gamma, k)
     s_ref, suyari_ref, info_ref, s = _reference(kind, gamma, k, q, d.probs)
     n = len(d.probs)
-    ok = _agrees(lambda: generalized_entropy(d, f, q), s_ref, n, s)
-    ok += _agrees(lambda: suyari_entropy(d, f, q), suyari_ref, n, s)
-    ok += _agrees(lambda: trace_expectation(d, f, q), s_ref, n, s)
+    results = [
+        _agrees(lambda: generalized_entropy(d, f, q), s_ref, n, s),
+        _agrees(lambda: suyari_entropy(d, f, q), suyari_ref, n, s),
+        _agrees(lambda: trace_expectation(d, f, q), s_ref, n, s),
+    ]
     nonzero = [p for p in d.probs if p > 0.0]
-    for p, ref in zip(nonzero, info_ref):
-        ok += _agrees(lambda: information_content(f, q, p), ref, 1, s)
-    return ok
+    singles = [_agrees(lambda: information_content(f, q, p), ref, 1, s)
+               for p, ref in zip(nonzero, info_ref)]
+    # One array call over the same entries gives the 1-element values bit
+    # for bit (so it is within the same bound), or raises the error of the
+    # first entry whose 1-element call raised.
+    errors = [str(v) for v in singles if isinstance(v, EvaluationError)]
+    try:
+        batch = information_content(f, q, np.array(nonzero))
+    except EvaluationError as exc:
+        assert errors[:1] == [str(exc)]
+    else:
+        assert not errors
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in singles]
+    return sum(not isinstance(v, EvaluationError) for v in results + singles)
 
 
 def _exact_offset(q: float) -> float:

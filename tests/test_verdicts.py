@@ -3,11 +3,20 @@
 The first six are valid families: Suyari's class (Tsallis, power) and the
 Weierstrass counterexample, which passes every check although it lies
 outside that class.  The other seven are deliberately broken and fail or
-come back not_applicable.  The verdicts do not depend on the seed.
+come back not_applicable.  The verdicts do not depend on the seed, nor on
+the SIMD target numpy dispatches its log and expm1 loops to: the report
+values may differ by ulps between targets, the verdicts may not.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qentropy
 from qentropy.axioms import CHECK_NAMES, CheckConfig, run_full_report
 from qentropy.deformation import (
     EntropyFamily,
@@ -100,3 +109,29 @@ def test_report_verdicts(name, seed):
     family, expected = CASES[name]
     report = run_full_report(family, CheckConfig(seed=seed))
     assert {rec.name: rec.verdict for rec in report.checks} == expected
+
+
+# numpy reads this at import and ignores names the host does not have, so
+# on an AVX-512 host the subprocess runs the AVX2 (X86_V3) loops, and
+# elsewhere the host's own.
+_NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+_VERDICTS_SCRIPT = """
+import json
+from qentropy.axioms import CheckConfig, run_full_report
+from test_verdicts import CASES
+print(json.dumps({f"{name} {seed}": {rec.name: rec.verdict for rec in
+                  run_full_report(family, CheckConfig(seed=seed)).checks}
+                  for name, (family, _) in CASES.items() for seed in (0, 7)}))
+"""
+
+
+def test_report_verdicts_without_avx512():
+    paths = [str(Path(qentropy.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_NO_AVX512,
+               PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", _VERDICTS_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    expected = {f"{name} {seed}": table
+                for name, (_, table) in CASES.items() for seed in (0, 7)}
+    assert json.loads(run.stdout) == expected
