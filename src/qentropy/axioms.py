@@ -38,9 +38,8 @@ from .errors import EvaluationError, InputError, QentropyError
 from .simplex import (
     Distribution,
     Refinement,
+    _simplex_rows,
     sample_refinement,
-    sample_simplex,
-    uniform_distribution,
 )
 
 CHECK_NAMES = (
@@ -153,13 +152,18 @@ class _Residuals:
             return True
         return False
 
-    def add(self, residual: float, witness: Callable[[], dict]) -> None:
-        """Count one sample; witness() is built only over the threshold."""
-        self.count += 1
-        if residual > self.max_residual:
-            self.max_residual = residual
-        if residual > self.threshold:
-            self.witnesses.append((residual, witness()))
+    def add(self, residuals: Sequence[float], witness_at: Callable[[int], dict]) -> None:
+        """Count the samples of a 1-D array.  The first maximum in index order
+        replaces max_residual only when strictly greater, so a NaN never does
+        and a 0.0/-0.0 tie keeps the earlier one.  witness_at(i) is built, in
+        index order, only where residuals[i] is over the threshold."""
+        r = np.asarray(residuals, dtype=np.float64)
+        self.count += len(r)
+        top = np.fmax.reduce(r, initial=-math.inf)
+        if top > self.max_residual:
+            self.max_residual = float(r[np.argmax(r == top)])
+        self.witnesses += [(float(r[i]), witness_at(i))
+                           for i in np.flatnonzero(r > self.threshold).tolist()]
 
     def record(self, q_values: Sequence[float] | None = None,
                sample_count: int | None = None,
@@ -223,21 +227,20 @@ def check_maximality(
     name = "maximality"
     with _Residuals(name, q_grid, 1e-10, start=-math.inf) as acc:
         for n in n_set:
-            points = sample_simplex(n, samples, _check_seed(seed, name) + n)
             # The uniform is row 0, so it is evaluated first at every q.
-            P = np.array([uniform_distribution(n).probs] + [d.probs for d in points])
+            P = np.vstack([np.full(n, 1.0 / n),
+                           _simplex_rows(n, samples, _check_seed(seed, name) + n)])
             for q in q_grid:
-                s_uniform, *values = entropies(P, f, q)
-                for d, entropy in zip(points, values):
-                    residual = entropy - s_uniform
-                    acc.add(residual, lambda: {
-                        "q": q,
-                        "n": n,
-                        "probs": list(d.probs),
-                        "entropy": entropy,
-                        "uniform_entropy": s_uniform,
-                        "residual": residual,
-                    })
+                values = entropies(P, f, q)
+                residuals = np.subtract(values[1:], values[0])
+                acc.add(residuals, lambda i: {
+                    "q": q,
+                    "n": n,
+                    "probs": P[i + 1].tolist(),
+                    "entropy": values[i + 1],
+                    "uniform_entropy": values[0],
+                    "residual": float(residuals[i]),
+                })
     return acc.record()
 
 
@@ -252,12 +255,9 @@ def check_expandability(
     since the axiom is only stated at q = 1.
     """
     acc = _Residuals("expandability", (1.0,), 1e-12)
-    for d in dists:
-        gap = abs(
-            generalized_entropy(d.append_zero(), f, 1.0).value
-            - generalized_entropy(d, f, 1.0).value
-        )
-        acc.add(gap, lambda: {"probs": list(d.probs), "gap": gap})
+    gaps = [abs(generalized_entropy(d.append_zero(), f, 1.0).value
+                - generalized_entropy(d, f, 1.0).value) for d in dists]
+    acc.add(gaps, lambda i: {"probs": list(dists[i].probs), "gap": gaps[i]})
     off_shannon = {}
     for q in q_grid:
         if q == 1.0:
@@ -330,12 +330,12 @@ def check_generalized_additivity(
     with _Residuals(name, q_grid, 1e-10) as acc:
         parts = _chain_parts(refinements)
         for q in q_grid:
-            for r, residual in zip(refinements, _additivity_residuals(f, parts, q, mode)):
-                acc.add(residual, lambda: {
-                    "q": q,
-                    "rows": [list(row) for row in r.rows],
-                    "residual": residual,
-                })
+            residuals = _additivity_residuals(f, parts, q, mode)
+            acc.add(residuals, lambda i: {
+                "q": q,
+                "rows": [list(row) for row in refinements[i].rows],
+                "residual": residuals[i],
+            })
     return acc.record(details={"mode": mode})
 
 
@@ -356,8 +356,8 @@ def check_pseudoadditivity(
             composed = pseudoadditive_compose(
                 f, q, information_content(f, q, p1s), information_content(f, q, p2s))
             residuals = np.abs(joint - composed) / (1.0 + np.abs(joint))
-            for p1, p2, residual in zip(p1s.tolist(), p2s.tolist(), residuals.tolist()):
-                acc.add(residual, lambda: {"q": q, "p1": p1, "p2": p2, "residual": residual})
+            acc.add(residuals, lambda i: {"q": q, "p1": float(p1s[i]), "p2": float(p2s[i]),
+                                          "residual": float(residuals[i])})
     return acc.record()
 
 
@@ -378,7 +378,7 @@ def check_shannon_limit(
     """
     scales = (2, 3, 4, 5, 6)
     tol = 1e-2
-    gap_detail = {}
+    gap_detail, residuals, witnesses = {}, [], []
     with _Residuals("shannon_limit", [1.0 + 10.0 ** (-j) for j in scales],
                     tol) as acc:
         for d in dists:
@@ -400,12 +400,13 @@ def check_shannon_limit(
             decreasing = gaps[-1] <= gaps[0] or gaps[-1] == 0.0
             # A gap sequence that grows fails with 1e300, not inf, which
             # would not be valid JSON.
-            residual = final_rel if decreasing else 1e300
-            acc.add(residual, lambda: {
+            residuals.append(final_rel if decreasing else 1e300)
+            witnesses.append({
                 "probs": list(d.probs),
                 "gaps": gaps,
                 "final_relative_gap": final_rel,
             })
+        acc.add(residuals, witnesses.__getitem__)
     return acc.record(sample_count=len(dists) * len(scales),
                       details={"gaps": gap_detail})
 
@@ -438,7 +439,7 @@ def _limit_at_1(
             dev_above[-1] <= dev_above[0] and dev_below[-1] <= dev_below[0]
         ) or (dev_above[-1] == 0.0 and dev_below[-1] == 0.0)
         residual = max(dev_above[-1], dev_below[-1]) if converged else 1e300
-        acc.add(residual, lambda: {
+        acc.add([residual], lambda _: {
             "target": target,
             f"{value_name}_above": above[-1],
             f"{value_name}_below": below[-1],
@@ -538,8 +539,9 @@ def check_constraint_region(
                 continue
             per_q.append({"q": q, "phi": phi_q, "alpha": alpha_q,
                           "excess": excess, "comply": excess <= tol})
-            acc.add(excess, lambda: {"q": q, "phi": phi_q,
-                                     "alpha": alpha_q, "excess": excess})
+        scored = [rec for rec in per_q if rec["comply"] is not None]
+        acc.add([rec["excess"] for rec in scored], lambda i: {
+            key: value for key, value in scored[i].items() if key != "comply"})
     return acc.record(details={"per_q": per_q})
 
 
@@ -554,22 +556,19 @@ def check_convexity_of_I(
     second central difference to the unequal spacing of a geometric grid).
     """
     tol = 1e-9
-    ps = [math.exp(t) for t in np.linspace(math.log(1e-3), 0.0, 32)]
+    ps = np.array([math.exp(t) for t in np.linspace(math.log(1e-3), 0.0, 32)])
     ps[-1] = 1.0
+    steps, spans = np.diff(ps), ps[2:] - ps[:-2]
     per_q = []
     with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
         for q in q_grid:
-            values = information_content(f, q, np.array(ps)).tolist()
-            witnesses_before = len(acc.witnesses)
-            for (x1, v1), (x2, v2), (x3, v3) in zip(
-                zip(ps, values), zip(ps[1:], values[1:]), zip(ps[2:], values[2:])
-            ):
-                dd = ((v3 - v2) / (x3 - x2) - (v2 - v1) / (x2 - x1)) / (x3 - x1)
-                acc.add(-dd, lambda: {
-                    "q": q, "p": x2, "second_divided_difference": dd,
-                })
+            slopes = np.diff(information_content(f, q, ps)) / steps
+            dd = np.diff(slopes) / spans
+            acc.add(-dd, lambda i: {
+                "q": q, "p": float(ps[i + 1]), "second_divided_difference": float(dd[i]),
+            })
             # q complies when none of its differences went over tol.
-            per_q.append({"q": q, "comply": len(acc.witnesses) == witnesses_before})
+            per_q.append({"q": q, "comply": not (-dd > tol).any()})
     return acc.record(details={"per_q": per_q})
 
 
@@ -602,7 +601,7 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
             slopes += [(abs(v1 - v0) / (x1 - x0), where, x1)
                        for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:])]
         slope, where, x1 = max(slopes, key=lambda s: s[0])
-        acc.add(slope, lambda: dict(where(x1), slope=slope))
+        acc.add([slope], lambda _: dict(where(x1), slope=slope))
     return acc.record(sample_count=len(slopes),
                       details={"note": "heuristic slope bound, not conclusive"})
 
@@ -660,7 +659,7 @@ def derivative_limit_probe(
             )
         mismatch = max(abs(nearby_plus[-1] - direct[-1]),
                        abs(nearby_minus[-1] - direct[-1]))
-        acc.add(mismatch / (1.0 + abs(direct[-1])), lambda: dict(details))
+        acc.add([mismatch / (1.0 + abs(direct[-1]))], lambda _: dict(details))
     return acc.record(sample_count=3 * scales, details=details)
 
 

@@ -133,7 +133,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             _check_q(q, "--q-list", InputError)
     if args.dims:
         dims = _parse_float_list(args.dims, "--dims")
-        if any(d != int(d) or d < 1 for d in dims):
+        if not all(d.is_integer() and d >= 1 for d in dims):
             raise InputError("--dims must be positive integers")
         cfg_kwargs["dims"] = tuple(int(d) for d in dims)
     if args.samples is not None:
@@ -156,8 +156,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    if args.k <= 0:
-        raise InputError(f"--k must be positive, got {args.k!r}")
+    _check_q(args.k, "--k", InputError)
     if args.depth < 2:
         raise InputError("--depth must be >= 2")
     params = WeierstrassParams(args.a, args.b, args.eps)
@@ -191,7 +190,10 @@ def _parse_range(text: str) -> list[float]:
         raise InputError("--range must contain numbers") from exc
     if step <= 0 or hi < lo:
         raise InputError("--range needs step > 0 and hi >= lo")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise InputError("--range must give a finite number of points")
+    count = int(math.floor(steps + 0.5)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -285,6 +287,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "digits", 0) < 0:
+            raise InputError(f"--digits must be >= 0, got {args.digits}")
         return args.func(args)
     except EvaluationError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ class DeformationFunction:
 
 
 def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
-    """The one domain check on q: every kind, every entropy route, the CLI's q flags."""
+    """The one domain check on q: every kind, every entropy route, the CLI's q flags and --k."""
     if not q > 0.0:
         raise error(f"{label} must be positive, got {q!r}")
     if q == math.inf:

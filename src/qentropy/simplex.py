@@ -163,11 +163,11 @@ class Refinement:
 
     def flatten(self) -> Distribution:
         """All cells in row-major order, as a Distribution."""
-        return Distribution(tuple([c for row in self.rows for c in row]))
+        return Distribution._of_valid_entries(tuple([c for row in self.rows for c in row]))
 
     def marginals(self) -> Distribution:
         """Row sums p_i = sum_j p_ij."""
-        return Distribution(tuple([math.fsum(row) for row in self.rows]))
+        return Distribution._of_valid_entries(tuple([math.fsum(row) for row in self.rows]))
 
     def conditional(self, i: int) -> Distribution:
         """Conditional distribution p(j|i) = p_ij / p_i for row i.
@@ -181,7 +181,7 @@ class Refinement:
         p_i = math.fsum(row)
         if p_i <= 0.0:
             raise ZeroMarginal(f"row {i} has zero marginal probability")
-        return Distribution(tuple([c / p_i for c in row]))
+        return Distribution._of_valid_entries(tuple([c / p_i for c in row]))
 
 
 def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:
@@ -190,14 +190,18 @@ def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:
     Uses exponential spacings: g_i ~ Exp(1), p_i = g_i / sum g.
     Bit-reproducible for a fixed seed.
     """
+    return [Distribution(tuple(row)) for row in _simplex_rows(n, count, seed).tolist()]
+
+
+def _simplex_rows(n: int, count: int, seed: int) -> np.ndarray:
+    """The points of sample_simplex as the rows of a (count, n) array."""
     if n < 1:
         raise InputError("n must be >= 1")
     if count < 1:
         raise InputError("count must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_exponential((count, n))
-    g /= g.sum(axis=1, keepdims=True)
-    return [Distribution(tuple([float(v) for v in row])) for row in g]
+    return g / g.sum(axis=1, keepdims=True)
 
 
 def sample_refinement(n: int, max_m: int, count: int, seed: int) -> list[Refinement]:

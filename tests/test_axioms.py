@@ -3,6 +3,7 @@ import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import qentropy.axioms
@@ -13,6 +14,7 @@ from qentropy.axioms import (
     REGION_Q_GRID,
     CheckConfig,
     _check_seed,
+    _Residuals,
     check_alpha_phi_limit,
     check_constraint_region,
     check_continuity,
@@ -55,6 +57,58 @@ def constant_alpha_family(value: float = 0.5) -> EntropyFamily:
         tsallis_phi(1.0), tabulated([(0.01, value), (10.0, value)]), 1.0,
         validated=False,
     )
+
+
+def _scalar_fold(acc, residuals, witness_at):
+    """The one-sample-at-a-time fold that _Residuals.add replaced."""
+    for i, residual in enumerate(residuals):
+        acc.count += 1
+        if residual > acc.max_residual:
+            acc.max_residual = residual
+        if residual > acc.threshold:
+            acc.witnesses.append((residual, witness_at(i)))
+
+
+NAN, INF = math.nan, math.inf
+
+
+class TestResidualsAdd:
+    # Each case is a sequence of add() calls: NaNs, 0.0/-0.0 ties within and
+    # across calls, repeated maxima, infinities and empty inputs.
+    CALLS = [
+        [[]],
+        [[NAN, 1.0, NAN, 0.5]],
+        [[NAN, NAN], [], [-0.0], [0.0]],
+        [[0.0, -0.0], [-0.0, 0.0]],
+        [[-0.0, 0.0, -0.0]],
+        [[2.0, 3.0, 3.0, 1.0, 3.0], [3.0, 2.0, NAN]],
+        [[-INF, -INF], [-1e300]],
+        [[INF, NAN, INF], [1e300]],
+    ]
+
+    @pytest.mark.parametrize("calls", CALLS)
+    @pytest.mark.parametrize("start", [0.0, -0.0, -INF])
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 2.0])
+    def test_matches_scalar_fold(self, calls, start, threshold):
+        results = []
+        for fold in (_scalar_fold, _Residuals.add):
+            acc = _Residuals("probe", (), threshold, start=start)
+            asked = []
+
+            def witness_at(call, i):
+                asked.append((call, i))
+                return {"call": call, "i": i}
+
+            for call, residuals in enumerate(calls):
+                fold(acc, residuals, lambda i, call=call: witness_at(call, i))
+            results.append((repr(acc.max_residual), acc.count, acc.witnesses, asked))
+        assert results[1] == results[0]
+
+    def test_takes_arrays(self):
+        acc = _Residuals("probe", (), 0.5)
+        acc.add(np.array([0.25, 1.0, 0.75]), lambda i: {"i": i})
+        assert (acc.max_residual, acc.count) == (1.0, 3)
+        assert acc.witnesses == [(1.0, {"i": 1}), (0.75, {"i": 2})]
 
 
 class TestMaximality:

@@ -162,6 +162,35 @@ def test_bad_q_exits_2(tsallis_file, capsys, argv, q, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["weierstrass", "--range=0:inf:1"], "--range must give a finite number of points"),
+    (["weierstrass", "--range=0:nan:1"], "--range must give a finite number of points"),
+    (["weierstrass", "--range=0:1:nan"], "--range must give a finite number of points"),
+    (["weierstrass", "--range=-1e308:1e308:1e-300"],
+     "--range must give a finite number of points"),
+    (["axioms", "--family", "TSALLIS", "--dims", "inf"], "--dims must be positive integers"),
+    (["axioms", "--family", "TSALLIS", "--dims", "1e400"], "--dims must be positive integers"),
+    (["axioms", "--family", "TSALLIS", "--dims", "2,nan"], "--dims must be positive integers"),
+    (["eval", "--family", "TSALLIS", "--q", "2", "--dist", "[0.5,0.5]", "--digits", "-1"],
+     "--digits must be >= 0, got -1"),
+    (["counterexample", "--digits", "-1"], "--digits must be >= 0, got -1"),
+    (["counterexample", "--k", "nan"], "--k must be positive, got nan"),
+    (["counterexample", "--k", "inf"], "--k must be finite, got inf"),
+    (["counterexample", "--k", "0"], "--k must be positive, got 0.0"),
+])
+def test_malformed_number_exits_2(tsallis_file, tmp_path, capsys, argv, message):
+    # Exit 1 means a failed axiom check, so a malformed number must not
+    # escape as a traceback; nothing is printed or written.
+    out = tmp_path / "out"
+    argv = [tsallis_file if a == "TSALLIS" else a for a in argv]
+    rc = main(argv + ([] if argv[0] == "eval" else ["--output", str(out)]))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 class TestAxioms:
     def test_tsallis_all_pass(self, tsallis_file, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -13,6 +13,7 @@ from qentropy.errors import (
 from qentropy.simplex import (
     Distribution,
     Refinement,
+    _simplex_rows,
     make_distribution,
     sample_refinement,
     sample_simplex,
@@ -195,6 +196,11 @@ class TestSampleSimplex:
         a = sample_simplex(4, 20, seed=99)
         b = sample_simplex(4, 20, seed=99)
         assert a == b
+        # The array twin the axiom checks use draws the same points, bit for bit.
+        rows = _simplex_rows(4, 20, seed=99)
+        assert rows.shape == (20, 4)
+        assert [[x.hex() for x in row] for row in rows.tolist()] == \
+            [[x.hex() for x in d.probs] for d in a]
 
     def test_validates_arguments(self):
         with pytest.raises(InputError):
