@@ -30,7 +30,6 @@ from .entropy import (
     _stack,
     _vanishing_phi,
     entropies,
-    generalized_entropy,
     information_content,
     pseudoadditive_compose,
 )
@@ -252,26 +251,26 @@ def check_expandability(
     """Appending a zero-probability outcome leaves S_1 unchanged.
 
     The same comparison at q != 1 is reported informationally in details,
-    since the axiom is only stated at q = 1.
+    since the axiom is only stated at q = 1.  Each q is one entropies() call
+    over the distributions stacked above their zero-padded copies, so an
+    evaluation error at a q leaves all of that q's gaps None.
     """
+    P = _stack([d.probs for d in dists] + [d.probs + (0.0,) for d in dists])
+
+    def gaps_at(q: float) -> list[float]:
+        values = entropies(P, f, q)
+        return [abs(padded - s) for s, padded in zip(values, values[len(dists):])]
+
     acc = _Residuals("expandability", (1.0,), 1e-12)
-    gaps = [abs(generalized_entropy(d.append_zero(), f, 1.0).value
-                - generalized_entropy(d, f, 1.0).value) for d in dists]
+    gaps = gaps_at(1.0)
     acc.add(gaps, lambda i: {"probs": list(dists[i].probs), "gap": gaps[i]})
     off_shannon = {}
     for q in q_grid:
-        if q == 1.0:
-            continue
-        gaps = []
-        for d in dists:
+        if q != 1.0:
             try:
-                gaps.append(abs(
-                    generalized_entropy(d.append_zero(), f, q).value
-                    - generalized_entropy(d, f, q).value
-                ))
+                off_shannon[repr(q)] = gaps_at(q)
             except EvaluationError:
-                gaps.append(None)
-        off_shannon[repr(q)] = gaps
+                off_shannon[repr(q)] = [None] * len(dists)
     return acc.record(details={"off_shannon_gaps_informational": off_shannon})
 
 
@@ -378,35 +377,25 @@ def check_shannon_limit(
     """
     scales = (2, 3, 4, 5, 6)
     tol = 1e-2
-    gap_detail, residuals, witnesses = {}, [], []
+    gap_detail = {}
     with _Residuals("shannon_limit", [1.0 + 10.0 ** (-j) for j in scales],
                     tol) as acc:
-        for d in dists:
-            s1 = generalized_entropy(d, f, 1.0).value
-            gaps = []
-            for j in scales:
-                h = 10.0 ** (-j)
-                gap = max(
-                    abs(generalized_entropy(d, f, 1.0 + h).value - s1),
-                    abs(generalized_entropy(d, f, 1.0 - h).value - s1),
-                )
-                gaps.append(gap)
-            monotone = all(b <= a for a, b in zip(gaps, gaps[1:]))
+        P = _stack([d.probs for d in dists])
+        s1 = entropies(P, f, 1.0)
+        sides = [(entropies(P, f, 1.0 + h), entropies(P, f, 1.0 - h))
+                 for h in (10.0 ** (-j) for j in scales)]
+        gaps = [[max(abs(above[i] - s), abs(below[i] - s)) for above, below in sides]
+                for i, s in enumerate(s1)]
+        final_rel = [g[-1] / (1.0 + s) for g, s in zip(gaps, s1)]
+        # A gap sequence that grows fails with 1e300, not inf, which would
+        # not be valid JSON.
+        acc.add([r if g[-1] <= g[0] or g[-1] == 0.0 else 1e300
+                 for g, r in zip(gaps, final_rel)],
+                lambda i: {"probs": list(dists[i].probs), "gaps": gaps[i],
+                           "final_relative_gap": final_rel[i]})
+        for d, g in zip(dists, gaps):
             gap_detail[repr(list(d.probs))] = {
-                "gaps": gaps,
-                "strictly_decreasing": monotone,
-            }
-            final_rel = gaps[-1] / (1.0 + s1)
-            decreasing = gaps[-1] <= gaps[0] or gaps[-1] == 0.0
-            # A gap sequence that grows fails with 1e300, not inf, which
-            # would not be valid JSON.
-            residuals.append(final_rel if decreasing else 1e300)
-            witnesses.append({
-                "probs": list(d.probs),
-                "gaps": gaps,
-                "final_relative_gap": final_rel,
-            })
-        acc.add(residuals, witnesses.__getitem__)
+                "gaps": g, "strictly_decreasing": all(b <= a for a, b in zip(g, g[1:]))}
     return acc.record(sample_count=len(dists) * len(scales),
                       details={"gaps": gap_detail})
 
@@ -691,10 +680,11 @@ class AxiomReport:
         return [rec.name for rec in self.checks if rec.verdict == "fail"]
 
     def to_dict(self) -> dict:
+        """The records' own attribute dicts, shared with the report, not copied."""
         return {
             "family": self.family,
             "config": self.config,
-            "checks": [asdict(rec) for rec in self.checks],
+            "checks": [vars(rec) for rec in self.checks],
         }
 
     def to_json(self) -> str:

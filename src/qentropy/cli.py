@@ -193,6 +193,8 @@ def _parse_range(text: str) -> list[float]:
     steps = (hi - lo) / step
     if not math.isfinite(steps):
         raise InputError("--range must give a finite number of points")
+    if not math.isfinite(step):  # the only point would be lo + 0 * inf = nan
+        raise InputError(f"--range needs a finite step, got {step!r}")
     count = int(math.floor(steps + 0.5)) + 1
     return [lo + i * step for i in range(count)]
 

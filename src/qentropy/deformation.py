@@ -52,6 +52,16 @@ class DeformationFunction:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise InvalidFamilySpec(f"unknown kind {self.kind!r}")
+        _check_q(self.gamma, "gamma", InvalidFamilySpec)
+        _check_q(self.k, "k", NonPositiveK)
+        if self.kind == "weierstrass_phi" and not isinstance(self.wparams, WeierstrassParams):
+            raise InvalidFamilySpec(f"weierstrass_phi needs params, got {self.wparams!r}")
+        if self.kind == "tabulated":
+            if len(self.table or ()) < 2:
+                raise InvalidFamilySpec("tabulated function needs at least 2 points")
+            for (q0, _), (q1, _) in zip(self.table, self.table[1:]):
+                if not q1 > q0:
+                    raise InvalidFamilySpec("tabulated q grid must be strictly increasing")
 
     def __call__(self, q: float) -> float:
         _check_q(q)
@@ -66,7 +76,8 @@ class DeformationFunction:
 
 
 def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
-    """The one domain check on q: every kind, every entropy route, the CLI's q flags and --k."""
+    """The one positive-and-finite check: q of every kind, every entropy route and the
+    CLI's q flags; k and gamma of every deformation and family, and the CLI's --k."""
     if not q > 0.0:
         raise error(f"{label} must be positive, got {q!r}")
     if q == math.inf:
@@ -88,8 +99,6 @@ def _interpolate(f: DeformationFunction, q: float) -> float:
 
 
 def tsallis_phi(k: float = 1.0) -> DeformationFunction:
-    if k <= 0.0:
-        raise NonPositiveK(f"k must be positive, got {k!r}")
     return DeformationFunction("tsallis_phi", k=k)
 
 
@@ -102,33 +111,19 @@ def one_minus_q_alpha() -> DeformationFunction:
 
 
 def power_alpha(gamma: float) -> DeformationFunction:
-    if gamma <= 0.0:
-        raise InvalidFamilySpec(f"gamma must be positive, got {gamma!r}")
     return DeformationFunction("power_alpha", gamma=gamma)
 
 
 def power_phi(gamma: float, k: float = 1.0) -> DeformationFunction:
-    if gamma <= 0.0:
-        raise InvalidFamilySpec(f"gamma must be positive, got {gamma!r}")
-    if k <= 0.0:
-        raise NonPositiveK(f"k must be positive, got {k!r}")
     return DeformationFunction("power_phi", gamma=gamma, k=k)
 
 
 def weierstrass_phi(params: WeierstrassParams, k: float = 1.0) -> DeformationFunction:
-    if k <= 0.0:
-        raise NonPositiveK(f"k must be positive, got {k!r}")
     return DeformationFunction("weierstrass_phi", k=k, wparams=params)
 
 
 def tabulated(points: Sequence[Sequence[float]]) -> DeformationFunction:
-    pts = tuple((float(q), float(v)) for q, v in points)
-    if len(pts) < 2:
-        raise InvalidFamilySpec("tabulated function needs at least 2 points")
-    for (q0, _), (q1, _) in zip(pts, pts[1:]):
-        if not q1 > q0:
-            raise InvalidFamilySpec("tabulated q grid must be strictly increasing")
-    return DeformationFunction("tabulated", table=pts)
+    return DeformationFunction("tabulated", table=tuple((float(q), float(v)) for q, v in points))
 
 
 @dataclass(frozen=True)
@@ -198,20 +193,25 @@ class EntropyFamily:
     validated: bool = True
 
     def __post_init__(self) -> None:
-        if self.k <= 0.0:
-            raise NonPositiveK(f"k must be positive, got {self.k!r}")
-        if self.validated:
-            for label, func in (("phi", self.phi), ("alpha", self.alpha)):
-                try:
-                    at_1 = func(1.0)
-                except EvaluationError as exc:
-                    raise InvalidFamilySpec(
-                        f"{label} cannot be evaluated at q = 1: {exc}"
-                    ) from exc
-                if abs(at_1) > FAMILY_POINT_TOL:
-                    raise InvalidFamilySpec(
-                        f"{label}(1) = {at_1!r}, must vanish within {FAMILY_POINT_TOL}"
-                    )
+        _check_q(self.k, "k", NonPositiveK)
+        for label, func in (("phi", self.phi), ("alpha", self.alpha)):
+            # The spec holds one k for every scaled kind, the family's.  The
+            # memoized stand-ins of run_full_report have no kind to check.
+            if (isinstance(func, DeformationFunction) and _KINDS[func.kind].scaled
+                    and func.k != self.k):
+                raise InvalidFamilySpec(f"{label} has k = {func.k!r}, the family {self.k!r}")
+            if not self.validated:
+                continue
+            try:
+                at_1 = func(1.0)
+            except EvaluationError as exc:
+                raise InvalidFamilySpec(
+                    f"{label} cannot be evaluated at q = 1: {exc}"
+                ) from exc
+            if abs(at_1) > FAMILY_POINT_TOL:
+                raise InvalidFamilySpec(
+                    f"{label}(1) = {at_1!r}, must vanish within {FAMILY_POINT_TOL}"
+                )
 
     @property
     def family_id(self) -> str:
@@ -271,7 +271,7 @@ def _spec_value(value, expect: str, label: str):
     elif expect == "integer":
         valid = _is_number(value) and isinstance(value, int)
     else:
-        valid = _is_number(value) and (expect == "number" or value > 0)
+        valid = _is_number(value) and (expect == "number" or 0 < value < math.inf)
     if not valid:
         raise InvalidFamilySpec(f"{label} must be {_EXPECTED[expect]}, got {value!r}")
     return float(value) if expect in ("positive", "number") else value

@@ -113,10 +113,6 @@ class Distribution:
         values.flags.writeable = False
         return values
 
-    def append_zero(self) -> "Distribution":
-        """Distribution over one extra outcome of probability zero."""
-        return Distribution(self.probs + (0.0,))
-
 
 def make_distribution(values: Iterable[float], mode: str = "strict") -> Distribution:
     """Build a Distribution from raw nonnegative values.

@@ -51,6 +51,18 @@ WEIERSTRASS = weierstrass_family()
 Q_GRID = (0.5, 0.9, 1.0, 1.1, 2.0, 3.0)
 
 
+def _count_entropies_calls(monkeypatch) -> list[float]:
+    """The q of every entropies() call the checks make from now on."""
+    qs, entropies = [], qentropy.axioms.entropies
+
+    def counted(P, f, q, *args):
+        qs.append(q)
+        return entropies(P, f, q, *args)
+
+    monkeypatch.setattr(qentropy.axioms, "entropies", counted)
+    return qs
+
+
 def constant_alpha_family(value: float = 0.5) -> EntropyFamily:
     """Deliberately invalid family: alpha constant, so alpha(1) != 0."""
     return EntropyFamily(
@@ -160,6 +172,24 @@ class TestExpandability:
         gaps = rec.details["off_shannon_gaps_informational"]
         assert gaps[repr(2.0)] == [0.0]
 
+    def test_one_entropies_call_per_q(self, monkeypatch):
+        qs = _count_entropies_calls(monkeypatch)
+        dists = [Distribution((1.0,)), Distribution((0.5, 0.5)),
+                 Distribution((0.5, 0.25, 0.25))]
+        check_expandability(TSALLIS, dists, Q_GRID)
+        assert qs == [1.0] + [q for q in Q_GRID if q != 1.0]
+
+    def test_error_at_a_q_leaves_all_its_gaps_none(self):
+        # S_q < 0 off q = 1 for negated_phi, an error for a validated family.
+        # The distributions share one entropies() call per q, so the gap of
+        # the certain distribution, S_q = 0, is not read either.
+        family = EntropyFamily(negated_phi(), one_minus_q_alpha(), 1.0)
+        rec = check_expandability(family, [Distribution((1.0,)), Distribution((0.5, 0.5))],
+                                  Q_GRID)
+        assert rec.verdict == "pass"
+        assert rec.details["off_shannon_gaps_informational"] == {
+            repr(q): [None, None] for q in Q_GRID if q != 1.0}
+
 
 class TestGeneralizedAdditivity:
     def test_hand_refinement(self):
@@ -253,6 +283,21 @@ class TestShannonLimit:
         assert na.verdict == "not_applicable"
         assert na.q_values == check_shannon_limit(TSALLIS, dists).q_values
         assert na.q_values == tuple(1.0 + 10.0 ** -j for j in range(2, 7))
+
+    def test_one_entropies_call_per_q(self, monkeypatch):
+        qs = _count_entropies_calls(monkeypatch)
+        check_shannon_limit(TSALLIS, [Distribution((0.5, 0.5)), Distribution((0.5, 0.25, 0.25))])
+        hs = [10.0 ** -j for j in range(2, 7)]
+        assert qs == [1.0] + [q for h in hs for q in (1.0 + h, 1.0 - h)]
+
+    def test_not_applicable_names_the_first_error(self):
+        # The first distribution at the first q != 1, as when each
+        # distribution was evaluated on its own.
+        family = EntropyFamily(negated_phi(), one_minus_q_alpha(), 1.0)
+        rec = check_shannon_limit(family, [Distribution((0.5, 0.5)),
+                                           Distribution((0.5, 0.25, 0.25))])
+        assert rec.details == {"reason": "evaluation failed: entropy -0.6907504562964099 "
+                               "at q=1.01; a valid family cannot go negative"}
 
 
 class TestAlphaPhiLimit:

@@ -168,6 +168,8 @@ def test_bad_q_exits_2(tsallis_file, capsys, argv, q, message):
     (["weierstrass", "--range=0:1:nan"], "--range must give a finite number of points"),
     (["weierstrass", "--range=-1e308:1e308:1e-300"],
      "--range must give a finite number of points"),
+    (["weierstrass", "--range=0:1:inf"], "--range needs a finite step, got inf"),
+    (["weierstrass", "--range=-inf:1:1"], "--range must give a finite number of points"),
     (["axioms", "--family", "TSALLIS", "--dims", "inf"], "--dims must be positive integers"),
     (["axioms", "--family", "TSALLIS", "--dims", "1e400"], "--dims must be positive integers"),
     (["axioms", "--family", "TSALLIS", "--dims", "2,nan"], "--dims must be positive integers"),

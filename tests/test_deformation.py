@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -70,9 +71,25 @@ class TestKinds:
             with pytest.raises(DomainError, match=f"q must be {message}"):
                 func(q)
 
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(InvalidFamilySpec):
-            power_alpha(0.0)
+    # Every way of building a deformation checks gamma, NaN and inf too, and
+    # the parameters its kind needs.
+    @pytest.mark.parametrize("build,message", [
+        (lambda: power_alpha(0.0), "gamma must be positive, got 0.0"),
+        (lambda: DeformationFunction("power_alpha", gamma=-1.0),
+         "gamma must be positive, got -1.0"),
+        (lambda: power_alpha(math.nan), "gamma must be positive, got nan"),
+        (lambda: power_phi(math.nan), "gamma must be positive, got nan"),
+        (lambda: power_phi(math.inf), "gamma must be finite, got inf"),
+        (lambda: family_from_spec(json.loads(
+            '{"phi": {"kind": "power_phi", "gamma": Infinity},'
+            ' "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}')),
+         "field 'phi': 'gamma' must be a positive number, got inf"),
+        (lambda: DeformationFunction("weierstrass_phi"), "weierstrass_phi needs params"),
+        (lambda: DeformationFunction("tabulated"), "needs at least 2 points"),
+    ])
+    def test_rejects_bad_gamma(self, build, message):
+        with pytest.raises(InvalidFamilySpec, match=message):
+            build()
 
     def test_weierstrass_phi_vanishes_at_one(self):
         phi = weierstrass_phi(WeierstrassParams(0.5, 13), k=1.0)
@@ -111,9 +128,23 @@ class TestTsallisFamily:
     def test_k_scaling(self):
         assert tsallis_family(2.0).phi(2.0) == 0.5
 
-    def test_rejects_k_zero(self):
-        with pytest.raises(NonPositiveK):
-            tsallis_family(0.0)
+    # Every way of building a deformation or a family checks k: NaN and inf too.
+    @pytest.mark.parametrize("build,message", [
+        (lambda: tsallis_family(0.0), "k must be positive, got 0.0"),
+        (lambda: DeformationFunction("tsallis_phi", k=-1.0), "k must be positive, got -1.0"),
+        (lambda: tsallis_phi(math.nan), "k must be positive, got nan"),
+        (lambda: tsallis_phi(math.inf), "k must be finite, got inf"),
+        (lambda: power_phi(0.5, k=math.nan), "k must be positive, got nan"),
+        (lambda: weierstrass_phi(WeierstrassParams(0.5, 13), k=math.inf),
+         "k must be finite, got inf"),
+        (lambda: EntropyFamily(negated_phi(), one_minus_q_alpha(), math.nan),
+         "k must be positive, got nan"),
+        (lambda: EntropyFamily(negated_phi(), one_minus_q_alpha(), math.inf),
+         "k must be finite, got inf"),
+    ])
+    def test_rejects_k_zero(self, build, message):
+        with pytest.raises(NonPositiveK, match=message):
+            build()
 
     def test_alpha_phi_ratio_near_one(self):
         # alpha/phi must approach -k; for this family it is -k identically.
@@ -214,6 +245,13 @@ class TestFamilySpec:
             assert again == family, kind
             for q in (0.5, 1.0, 1.3, 3.0):
                 assert again.phi(q) == family.phi(q), (kind, q)
+        # The spec holds the family k only, so a scaled kind with another k,
+        # in either slot, would read back as another family: it is refused.
+        for kind in ("tsallis_phi", "power_phi", "weierstrass_phi"):
+            with pytest.raises(InvalidFamilySpec, match="phi has k = 2.0, the family 1.0"):
+                EntropyFamily(examples[kind], one_minus_q_alpha(), 1.0)
+            with pytest.raises(InvalidFamilySpec, match="alpha has k = 2.0"):
+                EntropyFamily(one_minus_q_alpha(), examples[kind], 1.0, validated=False)
 
     def test_unknown_kind_rejected_at_construction(self):
         with pytest.raises(InvalidFamilySpec):
@@ -221,6 +259,8 @@ class TestFamilySpec:
 
     @pytest.mark.parametrize("spec,field", [
         ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 0}, "k"),
+        ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": math.inf},
+         "field 'k'"),
         ({"alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "phi"),
         ({"phi": {"kind": "nope"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "phi"),
         ({"phi": {"kind": "power_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "gamma"),

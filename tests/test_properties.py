@@ -28,8 +28,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, note, settings, strategies as st  # noqa: E402
 
 from qentropy.deformation import (  # noqa: E402
+    EntropyFamily,
     power_family,
+    tabulated,
     tsallis_family,
+    tsallis_phi,
     weierstrass_family,
 )
 from qentropy.entropy import (  # noqa: E402
@@ -42,7 +45,7 @@ from qentropy.entropy import (  # noqa: E402
     suyari_entropy,
     trace_expectation,
 )
-from qentropy.errors import EvaluationError  # noqa: E402
+from qentropy.errors import EvaluationError, ZeroWithNonpositiveExponent  # noqa: E402
 from qentropy.simplex import Distribution, make_distribution  # noqa: E402
 
 DPS = 30
@@ -66,6 +69,9 @@ def _family(kind: str, gamma: float, k: float):
         return tsallis_family(k)
     if kind == "power":
         return power_family(gamma, k)
+    if kind == "constant_alpha":  # alpha = gamma, unvalidated; the oracle has no such kind
+        return EntropyFamily(tsallis_phi(k), tabulated([(1e-7, gamma), (60.0, gamma)]), k,
+                             validated=False)
     return weierstrass_family(k=k)
 
 
@@ -216,6 +222,55 @@ def test_batched_rows_equal_one_row_calls(rows, long_rows, pad, q, kind, gamma, 
                 entropies(P, f, q, form)
         else:
             assert [v.hex() for v in entropies(P, f, q, form)] == singles, form
+
+
+def _row_just_below_cut(seed: int) -> list[float]:
+    """_LONG_ROW - 1 seeded entries with zeros: math.fsum sums the row, and
+    the integer sums sum it once a zero is appended."""
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(size=_LONG_ROW - 1)
+    values[rng.random(values.size) < 0.1] = 0.0
+    values[0] = 1e-310
+    return values.tolist()
+
+
+def _outcome(route, d: Distribution, f, q: float):
+    """route's value as hex, or the class of the EvaluationError it raised."""
+    try:
+        return route(d, f, q).value.hex()
+    except EvaluationError as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    values=st.one_of(_VALUES, st.integers(0, 2**32 - 1).map(_row_just_below_cut)),
+    zeros=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    q=_Q,
+    kind=st.sampled_from(("tsallis", "power", "weierstrass", "constant_alpha")),
+    gamma=st.floats(min_value=0.1, max_value=3.0),
+    k_exp=st.integers(-300, 300),
+)
+def test_permuting_or_appending_zeros_keeps_every_bit(values, zeros, seed, q, kind, gamma,
+                                                      k_exp):
+    """The symmetry and expandability axioms hold bit for bit on every route
+    at every q, on any SIMD target, because each row sum is exactly rounded.
+    Appending a zero is an error only where it meets an exponent
+    1 - alpha(q) <= 0 (constant alpha = gamma >= 1; never on the exponent-q
+    route, whose exponent is q): then the padded row raises
+    ZeroWithNonpositiveExponent, whatever the row without it gave."""
+    f = _family(kind, gamma, 10.0**k_exp)
+    d = make_distribution(values, "normalize")
+    permuted = Distribution(tuple(np.random.default_rng(seed).permutation(d.probs).tolist()))
+    padded = Distribution(d.probs + (0.0,) * zeros)
+    for form, route in (("generalized", generalized_entropy),
+                        ("suyari", suyari_entropy), ("trace", trace_expectation)):
+        base = _outcome(route, d, f, q)
+        assert _outcome(route, permuted, f, q) == base, form
+        zero_raises = form != "suyari" and q != 1.0 and 1.0 - f.alpha(q) <= 0.0
+        assert _outcome(route, padded, f, q) == (
+            ZeroWithNonpositiveExponent if zero_raises else base), form
 
 
 _CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1,

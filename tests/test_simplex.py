@@ -246,8 +246,3 @@ class TestSampleRefinement:
 
     def test_bit_reproducible(self):
         assert sample_refinement(3, 3, 10, seed=4) == sample_refinement(3, 3, 10, seed=4)
-
-
-def test_distribution_append_zero():
-    d = Distribution((0.5, 0.5))
-    assert d.append_zero().probs == (0.5, 0.5, 0.0)
