@@ -680,15 +680,14 @@ class AxiomReport:
         return [rec.name for rec in self.checks if rec.verdict == "fail"]
 
     def to_dict(self) -> dict:
-        """The records' own attribute dicts, shared with the report, not copied."""
-        return {
-            "family": self.family,
-            "config": self.config,
-            "checks": [vars(rec) for rec in self.checks],
-        }
+        """The report as plain data, its records deep-copied (asdict)."""
+        return {"family": self.family, "config": self.config,
+                "checks": [asdict(rec) for rec in self.checks]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True) + "\n"
+        """to_dict() as JSON, dumped from each record's own dict (vars), not a copy."""
+        return json.dumps({"family": self.family, "config": self.config,
+                           "checks": [vars(rec) for rec in self.checks]}, sort_keys=True) + "\n"
 
 
 def run_full_report(f: EntropyFamily, config: CheckConfig | None = None) -> AxiomReport:

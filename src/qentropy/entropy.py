@@ -248,7 +248,7 @@ def _trace_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily,
 
 def _stack(rows: Sequence[Sequence[float]]) -> np.ndarray:
     """Ragged rows as one array for entropies(), NaN past each row's end."""
-    P = np.full((len(rows), max(map(len, rows))), np.nan)
+    P = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
     for i, row in enumerate(rows):
         P[i, :len(row)] = row
     return P

@@ -190,6 +190,11 @@ class TestExpandability:
         assert rec.details["off_shannon_gaps_informational"] == {
             repr(q): [None, None] for q in Q_GRID if q != 1.0}
 
+    def test_no_distributions_pass_with_no_samples(self):
+        rec = check_expandability(TSALLIS, [], (1.0, 2.0))
+        assert (rec.verdict, rec.sample_count) == ("pass", 0)
+        assert rec.details["off_shannon_gaps_informational"] == {repr(2.0): []}
+
 
 class TestGeneralizedAdditivity:
     def test_hand_refinement(self):
@@ -283,6 +288,10 @@ class TestShannonLimit:
         assert na.verdict == "not_applicable"
         assert na.q_values == check_shannon_limit(TSALLIS, dists).q_values
         assert na.q_values == tuple(1.0 + 10.0 ** -j for j in range(2, 7))
+
+    def test_no_distributions_pass_with_no_samples(self):
+        rec = check_shannon_limit(TSALLIS, [])
+        assert (rec.verdict, rec.sample_count, rec.details) == ("pass", 0, {"gaps": {}})
 
     def test_one_entropies_call_per_q(self, monkeypatch):
         qs = _count_entropies_calls(monkeypatch)
@@ -529,6 +538,15 @@ class TestFullReport:
         again = family_from_spec(report.family)
         report2 = run_full_report(again)
         assert report.to_json() == report2.to_json()
+
+    def test_to_dict_is_a_copy(self):
+        report = run_full_report(TSALLIS)
+        before = report.to_json()
+        checks = report.to_dict()["checks"]
+        checks[0]["verdict"] = "fail"
+        checks[0]["details"]["edited"] = True
+        assert report.to_json() == before
+        assert report.all_pass
 
 
 def _direct_records(f: EntropyFamily, cfg: CheckConfig) -> list:
