@@ -278,15 +278,16 @@ def _chain_parts(refinements: Sequence[Refinement]) -> tuple:
     """The q-independent pieces of the chain rule for a set of refinements,
     stacked for entropies(): the flattened joints, the marginals, and the
     conditionals of the nonzero rows with their p_i and the index of their
-    refinement."""
+    refinement.  The entries are those of Refinement.flatten(), marginals()
+    and conditional(i), taken from the validated rows directly."""
     flats, margs, conds, weights, owners = [], [], [], [], []
     for j, r in enumerate(refinements):
-        marg = r.marginals().probs
-        flats.append(r.flatten().probs)
+        marg = [math.fsum(row) for row in r.rows]
+        flats.append([c for row in r.rows for c in row])
         margs.append(marg)
-        for i, p_i in enumerate(marg):
+        for row, p_i in zip(r.rows, marg):
             if p_i != 0.0:
-                conds.append(r.conditional(i).probs)
+                conds.append([c / p_i for c in row])
                 weights.append(p_i)
                 owners.append(j)
     return _stack(flats), _stack(margs), _stack(conds), weights, owners

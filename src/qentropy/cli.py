@@ -60,8 +60,10 @@ def _load_family(path: str):
     return family_from_spec(spec)
 
 
-def _load_values(text: str) -> list[float]:
-    """Inline JSON array, or a path to a JSON file holding one."""
+def _load_values(text: str) -> list[int | float]:
+    """Inline JSON array, or a path to a JSON file holding one; the numbers
+    are converted, and an integer beyond the float range refused, by
+    make_distribution."""
     raw = text.strip()
     if not raw.startswith("["):
         p = Path(raw)
@@ -76,7 +78,7 @@ def _load_values(text: str) -> list[float]:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise InputError("distribution must be a JSON array of numbers")
-    return [float(v) for v in values]
+    return values
 
 
 def _fmt(value: float, digits: int) -> str:

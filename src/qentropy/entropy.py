@@ -11,7 +11,9 @@ Every entropy route runs through one array kernel, entropies(P, f, q, form),
 over the rows of a 2-D array: phi(q) and alpha(q) are evaluated once, the
 terms element-wise in numpy, and each row summed exactly rounded (math.fsum's
 result).  The exact sum makes a row's value independent of the batch it was
-computed in.  The single-distribution functions are 1-row calls.  One
+computed in.  The single-distribution functions are 1-row calls that take
+ln p and the positions of the zeros from the Distribution, which computes
+them once, so each call repeats only the work that depends on q.  One
 element-wise kernel likewise gives information content I_q(p) =
 expm1(alpha(q) ln p) / phi(q), to information_content (a float or an
 array p) and to the trace route, which weights it by p^(1 - alpha(q)).
@@ -51,7 +53,7 @@ from .errors import (
     PhiVanishes,
     ZeroWithNonpositiveExponent,
 )
-from .simplex import Distribution, _fsum
+from .simplex import Distribution, _exact_sums
 
 _CLAMP = 1e-12
 _FORMS = ("generalized", "suyari", "trace")
@@ -75,84 +77,18 @@ def _finish(value: float, q: float, validated: bool) -> float:
     return value
 
 
-# Rows this long are summed in integers (_mantissa_sums) rather than by
-# math.fsum, which makes a Python float per entry.  frexp writes a finite
-# double as m 2^e with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer
-# M = m 2^53, and e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are
-# binned by (row, 8-binade band of e - 53), M is shifted left by its place in
-# the band and split into a high and a low half (|M| >> 26 < 2^27, low 26
-# bits), and the halves add up in int64 bins: each term is below 2^34, so a
-# bin cannot overflow in a row shorter than _LONG_ROW_MAX.  Blocks of
-# _BLOCK entries keep the temporaries small.
-_LONG_ROW = 1024
-_LONG_ROW_MAX = 1 << 29
-_BLOCK = 8192
-_EXP_MIN = -1126
-_BANDS = ((1024 - 53 - _EXP_MIN) >> 3) + 1
-
-
-def _exact_float(total: int, exponent: int) -> float:
-    """total * 2^exponent, correctly rounded half-even; inf on overflow."""
-    try:
-        return float(total << exponent) if exponent >= 0 else total / (1 << -exponent)
-    except OverflowError:
-        return math.inf
-
-
-def _mantissa_sums(X: np.ndarray) -> list[float]:
-    """Correctly rounded sum of each row of the finite C-contiguous X."""
-    rows, cols = X.shape
-    hi = np.zeros(rows * _BANDS, np.int64)
-    lo = np.zeros(rows * _BANDS, np.int64)
-    flat = X.reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        m, e = np.frexp(flat[start:start + _BLOCK])
-        m *= 2.0 ** 53
-        mant = m.astype(np.int64)
-        e -= 53 + _EXP_MIN
-        band = np.right_shift(e, 3, dtype=np.int64)
-        place = np.bitwise_and(e, 7, dtype=np.int64)
-        if rows > 1:
-            band += np.arange(start, start + mant.size) // cols * _BANDS
-        np.add.at(hi, band, (mant >> 26) << place)
-        mant &= (1 << 26) - 1
-        mant <<= place
-        np.add.at(lo, band, mant)
-    hi = hi.reshape(rows, _BANDS)
-    lo = lo.reshape(rows, _BANDS)
-    used = np.flatnonzero((hi | lo).any(axis=0))
-    if not used.size:
-        return [0.0] * rows
-    first, stop = int(used[0]), int(used[-1]) + 1
-    sums = []
-    for his, los in zip(hi[:, first:stop].tolist(), lo[:, first:stop].tolist()):
-        total = 0
-        for h, l in zip(reversed(his), reversed(los)):
-            total = (total << 8) + (h << 26) + l
-        sums.append(_exact_float(total, 8 * first + _EXP_MIN))
-    return sums
-
-
-def _row_sums(terms: np.ndarray, positive: np.ndarray) -> list[float]:
+def _row_sums(terms: np.ndarray, outside) -> list[float]:
     """The correctly rounded sum of each row over the entries with p > 0,
-    as math.fsum gives it; where fsum overflows it reads inf.  The other
-    entries are set to 0 in place, which an exactly rounded sum ignores, so
-    a row sums the same whatever padding or rows surround it.
-
-    Short rows and rows with a non-finite term go to math.fsum, long finite
-    rows to _mantissa_sums.  fsum overflows where a partial sum does; the
-    kernel's rows are single-signed, so that is where the sum itself does."""
-    np.copyto(terms, 0.0, where=~positive)
-    if not _LONG_ROW <= terms.shape[1] < _LONG_ROW_MAX:
-        return [_fsum(memoryview(row)) for row in terms]
-    finite = np.isfinite(terms).all(axis=1).tolist()
-    exact = iter(_mantissa_sums(terms if all(finite) else terms[finite]))
-    return [next(exact) if ok else _fsum(memoryview(row))
-            for ok, row in zip(finite, terms)]
+    as math.fsum gives it; where fsum overflows it reads inf.  The entries
+    at the index outside (zeros and NaN padding) are set to 0 in place
+    first, which an exactly rounded sum ignores, so a row sums the same
+    whatever padding or rows surround it."""
+    terms[outside] = 0.0
+    return _exact_sums(terms)
 
 
-def _require_zeros_allowed(P: np.ndarray, e: float) -> None:
-    if e <= 0.0 and (P == 0.0).any():
+def _require_zeros_allowed(P: np.ndarray, outside, e: float) -> None:
+    if e <= 0.0 and (P[outside] == 0.0).any():
         raise ZeroWithNonpositiveExponent(
             f"zero probability with exponent {e!r} <= 0 diverges"
         )
@@ -176,8 +112,8 @@ def _phi_at(f: EntropyFamily, q: float) -> float:
     return phi_q
 
 
-def _quotient_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily, q: float,
-                   form: str) -> list[float]:
+def _quotient_sums(P: np.ndarray, log: np.ndarray, outside,
+                   f: EntropyFamily, q: float, form: str) -> list[float]:
     """(1 - sum p^(1 + offset)) / phi(q) per row, with the cancellation-free
     numerator.
 
@@ -190,48 +126,48 @@ def _quotient_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily, q: flo
         off = q - 1.0
     else:
         off = -f.alpha(q)
-        _require_zeros_allowed(P, 1.0 + off)
+        _require_zeros_allowed(P, outside, 1.0 + off)
     phi_q = _phi_at(f, q)
-    terms = np.log(P)
-    terms *= off
+    terms = log * off
     np.expm1(terms, out=terms)
     terms *= P
-    sums = _row_sums(terms, positive)
-    for i, total in enumerate(sums):
-        if total == math.inf:
-            # expm1 overflows for a tiny p when off ln p > 709 although the
-            # term p * expm1 is finite.  Then off < -0.95, so the equal form
-            # p^(1 + off) - p loses nothing to the rounding of 1 + off.
-            row = P[i:i + 1]
-            total = _row_sums(row ** (1.0 + off) - row, positive[i:i + 1])[0]
+    sums = _row_sums(terms, outside)
+    if math.inf in sums:
+        # expm1 overflows for a tiny p when off ln p > 709 although the
+        # term p * expm1 is finite.  Then off < -0.95, so the equal form
+        # p^(1 + off) - p loses nothing to the rounding of 1 + off.
+        equal = _row_sums(P ** (1.0 + off) - P, outside)
+        for i, total in enumerate(sums):
             if total == math.inf:
-                raise _term_overflow(q, 1.0 + off)
-            sums[i] = total
+                if equal[i] == math.inf:
+                    raise _term_overflow(q, 1.0 + off)
+                sums[i] = equal[i]
     return [-total / phi_q for total in sums]
 
 
-def _information(P: np.ndarray, alpha_q: float, phi_q: float) -> np.ndarray:
-    """I_q(p) = expm1(z) / phi(q) with z = alpha(q) ln p, element-wise, q != 1."""
-    values = np.log(P)
-    values *= alpha_q
+def _information(P: np.ndarray, log: np.ndarray, alpha_q: float,
+                 phi_q: float) -> np.ndarray:
+    """I_q(p) = expm1(z) / phi(q) with z = alpha(q) ln p, element-wise, q != 1,
+    from log = ln P."""
+    values = log * alpha_q
     np.expm1(values, out=values)
     over = (values == np.inf) & (P > 0.0)  # at p = 0, z = inf: I_q is inf
     values /= phi_q
     if over.any():
         # p^alpha > 1.8e308, so the -1 is far below an ulp: divide in logs.
-        z = alpha_q * np.log(P[over])
+        z = alpha_q * log[over]
         values[over] = np.copysign(np.exp(z - math.log(abs(phi_q))), phi_q)
     return values
 
 
-def _trace_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily,
-                q: float) -> list[float]:
+def _trace_sums(P: np.ndarray, log: np.ndarray, outside,
+                f: EntropyFamily, q: float) -> list[float]:
     """sum_i e_q(p_i) I_q(p_i) per row: weight e_q(p) = p^(1 - alpha(q)) times _information."""
     alpha_q = f.alpha(q)
     e = 1.0 - alpha_q
-    _require_zeros_allowed(P, e)
+    _require_zeros_allowed(P, outside, e)
     phi_q = _phi_at(f, q)
-    terms = _information(P, alpha_q, phi_q)
+    terms = _information(P, log, alpha_q, phi_q)
     weight = P ** e
     terms *= weight
     if alpha_q < 0.0:
@@ -240,7 +176,7 @@ def _trace_sums(P: np.ndarray, positive: np.ndarray, f: EntropyFamily,
         large = P < math.exp(1.0 / alpha_q)
         np.subtract(P, weight, out=weight)
         np.divide(weight, phi_q, out=terms, where=large)
-    sums = _row_sums(terms, positive)
+    sums = _row_sums(terms, outside)
     if not all(map(math.isfinite, sums)):
         raise _term_overflow(q, e)
     return sums
@@ -268,18 +204,30 @@ def entropies(P: np.ndarray, f: EntropyFamily, q: float,
     """
     if form not in _FORMS:
         raise InputError(f"unknown form {form!r}, expected one of {_FORMS}")
-    positive = P > 0.0
     with np.errstate(all="ignore"):
-        if q == 1.0:
-            # e_1(p) = p and I_1(p) = -k ln p: every form is the Shannon sum.
-            terms = np.log(P)
-            terms *= P
-            sums = [-f.k * s for s in _row_sums(terms, positive)]
-        elif form == "trace":
-            sums = _trace_sums(P, positive, f, q)
-        else:
-            sums = _quotient_sums(P, positive, f, q, form)
+        return _entropies(P, np.log(P), ~(P > 0.0), f, q, form)
+
+
+def _entropies(P: np.ndarray, log: np.ndarray, outside, f: EntropyFamily, q: float,
+               form: str) -> list[float]:
+    """entropies() given its q-independent inputs, under
+    np.errstate(all="ignore"): log = ln P, and outside, an index of the
+    entries of P that are not > 0 (a mask, or the columns of the zeros)."""
+    if q == 1.0:
+        # e_1(p) = p and I_1(p) = -k ln p: every form is the Shannon sum.
+        sums = [-f.k * s for s in _row_sums(log * P, outside)]
+    elif form == "trace":
+        sums = _trace_sums(P, log, outside, f, q)
+    else:
+        sums = _quotient_sums(P, log, outside, f, q, form)
     return [_finish(value, q, f.validated) for value in sums]
+
+
+def _entropy_of(d: Distribution, f: EntropyFamily, q: float, form: str) -> EntropyValue:
+    """S_q of one distribution, from the ln p and zero positions it caches."""
+    with np.errstate(all="ignore"):
+        value = _entropies(d.array[None], d.log[None], (slice(None), d.zeros), f, q, form)[0]
+    return EntropyValue(value, q)
 
 
 def shannon_entropy(d: Distribution, k: float = 1.0) -> EntropyValue:
@@ -290,13 +238,13 @@ def shannon_entropy(d: Distribution, k: float = 1.0) -> EntropyValue:
 def suyari_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
     """Exponent-q entropy (1 - sum p^q) / phi(q) for every q != 1; the
     Shannon value at q == 1.0 only; PhiVanishes for a subnormal phi(q)."""
-    return EntropyValue(entropies(d.array[None], f, q, "suyari")[0], q)
+    return _entropy_of(d, f, q, "suyari")
 
 
 def generalized_entropy(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
     """(1 - sum p^(1 - alpha(q))) / phi(q); equals suyari_entropy when
     alpha(q) = 1 - q, on the identical code path."""
-    return EntropyValue(entropies(d.array[None], f, q)[0], q)
+    return _entropy_of(d, f, q, "generalized")
 
 
 def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyValue:
@@ -307,7 +255,7 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
     independent route to the same value as generalized_entropy; the two must
     agree to ~1e-12 wherever both are defined.
     """
-    return EntropyValue(entropies(d.array[None], f, q, "trace")[0], q)
+    return _entropy_of(d, f, q, "trace")
 
 
 def information_content(f: EntropyFamily, q: float,
@@ -324,8 +272,8 @@ def information_content(f: EntropyFamily, q: float,
     if not inside.all():
         raise DomainError(f"p must be in (0, 1], got {flat[inside.argmin()].item()!r}")
     with np.errstate(all="ignore"):
-        values = (-f.k * np.log(flat) if q == 1.0
-                  else _information(flat, f.alpha(q), _phi_at(f, q)))
+        log = np.log(flat)
+        values = -f.k * log if q == 1.0 else _information(flat, log, f.alpha(q), _phi_at(f, q))
     finite = np.isfinite(values)
     if not finite.all():
         i = finite.argmin()

@@ -9,6 +9,12 @@ sum_ij p_ij = 1.  Construction accepts sums within 1e-12 of one and stores
 the entries as given.  make_distribution divides by the actual sum, so its
 entries are exactly proportional to the input.
 
+A Distribution keeps its entries in one read-only float64 array, validated
+in numpy; the tuple `probs` is built only when asked for.  So are the two
+inputs that every S_q evaluation of it shares, ln p and the positions of
+its zero entries.  Every sum here, and every row sum of the entropy kernel,
+is exactly rounded: math.fsum's result, from _exact_sums.
+
 Sampling is uniform on the simplex (flat Dirichlet) via the exponential
 spacings construction and is deterministic for a fixed seed.
 """
@@ -46,35 +52,154 @@ def _fsum(values: Iterable[float]) -> float:
         return math.inf
 
 
-def _prob_entries(values: Iterable[float], what: str) -> tuple[tuple[float, ...], float]:
-    """values as a tuple of finite nonnegative floats, and their correctly
-    rounded sum, inf where it overflows.
+# Rows this long are summed in integers (_mantissa_sums) rather than by
+# math.fsum, which makes a Python float per entry.  frexp writes a finite
+# double as m 2^e with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer
+# M = m 2^53, and e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are
+# binned by (row, 8-binade band of e - 53), M is shifted left by its place in
+# the band and split into a high and a low half (|M| >> 26 < 2^27, low 26
+# bits), and the halves add up in int64 bins: each term is below 2^34, so a
+# bin cannot overflow in a row shorter than _LONG_ROW_MAX.  Blocks of
+# _BLOCK entries keep the temporaries small.
+_LONG_ROW = 1024
+_LONG_ROW_MAX = 1 << 29
+_BLOCK = 8192
+_EXP_MIN = -1126
+_BANDS = ((1024 - 53 - _EXP_MIN) >> 3) + 1
 
-    A valid input is checked at C speed: min() >= 0 rules out a negative
-    entry (a NaN first entry makes the min NaN), and a finite fsum rules out
-    NaN and inf.  Only an input that fails is scanned entry by entry, to
-    name its first offending entry.
+
+def _exact_float(total: int, exponent: int) -> float:
+    """total * 2^exponent, correctly rounded half-even; inf on overflow."""
+    try:
+        return float(total << exponent) if exponent >= 0 else total / (1 << -exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _mantissa_sums(X: np.ndarray) -> list[float]:
+    """Correctly rounded sum of each row of the finite C-contiguous X."""
+    rows, cols = X.shape
+    hi = np.zeros(rows * _BANDS, np.int64)
+    lo = np.zeros(rows * _BANDS, np.int64)
+    flat = X.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        m, e = np.frexp(flat[start:start + _BLOCK])
+        m *= 2.0 ** 53
+        mant = m.astype(np.int64)
+        e -= 53 + _EXP_MIN
+        band = np.right_shift(e, 3, dtype=np.int64)
+        place = np.bitwise_and(e, 7, dtype=np.int64)
+        if rows > 1:
+            band += np.arange(start, start + mant.size) // cols * _BANDS
+        np.add.at(hi, band, (mant >> 26) << place)
+        mant &= (1 << 26) - 1
+        mant <<= place
+        np.add.at(lo, band, mant)
+    hi = hi.reshape(rows, _BANDS)
+    lo = lo.reshape(rows, _BANDS)
+    used = np.flatnonzero((hi | lo).any(axis=0))
+    if not used.size:
+        return [0.0] * rows
+    first, stop = int(used[0]), int(used[-1]) + 1
+    sums = []
+    for his, los in zip(hi[:, first:stop].tolist(), lo[:, first:stop].tolist()):
+        total = 0
+        for h, l in zip(reversed(his), reversed(los)):
+            total = (total << 8) + (h << 26) + l
+        sums.append(_exact_float(total, 8 * first + _EXP_MIN))
+    return sums
+
+
+def _exact_sums(X: np.ndarray) -> list[float]:
+    """math.fsum of each row of the 2-D array X, bit for bit; where fsum
+    overflows it reads inf.  fsum overflows where a partial sum does; on a
+    single-signed row that is where the sum itself does.
+
+    Short rows and rows with a non-finite entry go to math.fsum, long finite
+    rows to _mantissa_sums."""
+    if not _LONG_ROW <= X.shape[1] < _LONG_ROW_MAX:
+        return [_fsum(memoryview(row)) for row in X]
+    finite = np.isfinite(X).all(axis=1).tolist()
+    exact = iter(_mantissa_sums(X if all(finite) else X[finite]))
+    return [next(exact) if ok else _fsum(memoryview(row))
+            for ok, row in zip(finite, X)]
+
+
+def _checked_floats(values: Iterable, what: str) -> list[float]:
+    """values entry by entry as floats.  The first entry that is not a real
+    number, not finite or negative is refused, naming its index."""
+    floats = []
+    for i, v in enumerate(values):
+        try:
+            if isinstance(v, (complex, np.complexfloating)):
+                raise TypeError
+            x = float(v)
+        except OverflowError:
+            raise InputError(f"{what} entry {i} is beyond the float range") from None
+        except (TypeError, ValueError):
+            raise InputError(f"{what} entry {i} is not a real number: {v!r}") from None
+        if not math.isfinite(x):
+            raise InputError(f"{what} entry {i} is not finite: {x!r}")
+        if x < 0.0:
+            raise NegativeEntry(f"{what} entry {i} is negative: {x!r}")
+        floats.append(x)
+    return floats
+
+
+def _prob_array(values: Iterable[float], what: str) -> tuple[np.ndarray, float]:
+    """values as a new 1-D float64 array of finite nonnegative entries, and
+    their exactly rounded sum, which must be finite.
+
+    A list of numbers, or a numeric array, is converted and checked in
+    numpy: min() >= 0 rules out a negative entry and NaN, and a finite sum
+    rules out inf.  Anything else numpy would reinterpret (None as NaN, a
+    nested list as a 2-D array, a string as a 0-d array of its value), and
+    any input that fails, is scanned entry by entry to name the first
+    offending entry.  The array is a copy, never the caller's.
     """
+    if isinstance(values, (str, bytes)):
+        raise InputError(f"{what} must be a sequence of numbers, not {values!r}")
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise InputError(f"{what} must be one-dimensional, got shape {values.shape}")
+    elif not isinstance(values, (list, tuple)):
+        try:
+            values = list(values)
+        except TypeError:
+            raise InputError(
+                f"{what} must be a sequence of numbers, got {type(values).__name__}") from None
+    try:
+        entries = np.array(values)
+    except (TypeError, ValueError, OverflowError):
+        entries = None
+    if entries is None or entries.ndim != 1 or entries.dtype.kind not in "biuf":
+        entries = np.array(_checked_floats(values, what), dtype=np.float64)
+    else:
+        entries = entries.astype(np.float64, copy=False)
+    if not entries.size:
+        raise InputError(f"{what} must have at least one entry")
+    if entries.min() >= 0.0:
+        total = _exact_sums(entries[None])[0]
+        if total < math.inf:
+            return entries, total
+    _checked_floats(entries.tolist(), what)
+    raise _overflowing_sum(what)
+
+
+def _row_entries(values: Iterable[float], what: str) -> tuple[float, ...]:
+    """values as a tuple of finite nonnegative floats: _prob_array's entry
+    checks on a tuple, for the short rows of a Refinement."""
     entries = tuple([*map(float, values)])
     if not entries:
         raise InputError(f"{what} must have at least one entry")
-    if min(entries) >= 0.0:
-        total = _fsum(entries)
-        if total < math.inf:
-            return entries, total
-    for i, v in enumerate(entries):
-        if not math.isfinite(v):
-            raise InputError(f"{what} entry {i} is not finite: {v!r}")
-        if v < 0.0:
-            raise NegativeEntry(f"{what} entry {i} is negative: {v!r}")
-    return entries, math.inf
+    if not (min(entries) >= 0.0 and _fsum(entries) < math.inf):
+        _checked_floats(entries, what)
+    return entries
 
 
-def _finite_total(total: float, what: str) -> float:
+def _overflowing_sum(what: str) -> InputError:
     """A sum beyond the float range is an input error, not an arithmetic one."""
-    if total == math.inf:
-        raise InputError(f"{what} entries sum beyond the float range")
-    return total
+    return InputError(f"{what} entries sum beyond the float range")
 
 
 def _require_normalized(total: float) -> None:
@@ -82,36 +207,68 @@ def _require_normalized(total: float) -> None:
         raise NotNormalized(f"entries sum to {total!r}, not 1 within {SUM_TOL}")
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class Distribution:
-    """Immutable probability vector; validates the simplex invariants."""
+    """Immutable probability vector; validates the simplex invariants.
 
-    probs: tuple[float, ...]
+    The entries are one read-only float64 array, `array`, copied from the
+    input.  `probs` is the same entries as a tuple of floats, and equality
+    and hashing are those of `probs` (so -0.0 equals 0.0).
+    """
 
-    def __post_init__(self) -> None:
-        probs, total = _prob_entries(self.probs, "distribution")
-        _require_normalized(_finite_total(total, "distribution"))
-        object.__setattr__(self, "probs", probs)
+    def __init__(self, probs: Iterable[float]) -> None:
+        entries, total = _prob_array(probs, "distribution")
+        _require_normalized(total)
+        object.__setattr__(self, "array", _read_only(entries))
 
     @classmethod
-    def _of_valid_entries(cls, probs: tuple[float, ...]) -> "Distribution":
-        """A Distribution over floats known to be finite and nonnegative,
-        such as quotients v / total of checked entries: only the sum is
-        checked."""
-        _require_normalized(math.fsum(probs))
+    def _of_valid_entries(cls, probs: np.ndarray) -> "Distribution":
+        """A Distribution over the new array probs, whose entries are known
+        to be finite and nonnegative, such as quotients v / total of checked
+        entries: only the sum is checked."""
+        _require_normalized(_exact_sums(probs[None])[0])
         d = object.__new__(cls)
-        object.__setattr__(d, "probs", probs)
+        object.__setattr__(d, "array", _read_only(probs))
         return d
 
-    def __len__(self) -> int:
-        return len(self.probs)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r} of an immutable Distribution")
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a read-only float64 array, converted once."""
-        values = np.array(self.probs, dtype=np.float64)
-        values.flags.writeable = False
-        return values
+    def probs(self) -> tuple[float, ...]:
+        """The entries as a tuple of floats, built on first use."""
+        return tuple(self.array.tolist())
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """ln p of each entry, -inf at a zero: read-only, computed on first
+        use and shared by every S_q evaluation."""
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log(self.array))
+
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        """The indices of the zero entries, ascending: read-only, computed
+        on first use."""
+        return _read_only(np.flatnonzero(self.array == 0.0))
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.probs == other.probs
+
+    def __hash__(self) -> int:
+        return hash(self.probs)
+
+    def __repr__(self) -> str:
+        return f"Distribution(probs={self.probs!r})"
 
 
 def make_distribution(values: Iterable[float], mode: str = "strict") -> Distribution:
@@ -124,13 +281,13 @@ def make_distribution(values: Iterable[float], mode: str = "strict") -> Distribu
     """
     if mode not in ("strict", "normalize"):
         raise InputError(f"unknown mode {mode!r}, expected 'strict' or 'normalize'")
-    entries, total = _prob_entries(values, "distribution")
-    total = _finite_total(total, "distribution")
+    entries, total = _prob_array(values, "distribution")
     if mode == "strict":
         _require_normalized(total)
     if total <= 0.0:
         raise ZeroSum("cannot normalize an all-zero vector")
-    return Distribution._of_valid_entries(tuple([v / total for v in entries]))
+    entries /= total
+    return Distribution._of_valid_entries(entries)
 
 
 def uniform_distribution(n: int) -> Distribution:
@@ -148,9 +305,11 @@ class Refinement:
     def __post_init__(self) -> None:
         if not self.rows:
             raise InputError("refinement must have at least one row")
-        rows = tuple(_prob_entries(row, f"refinement row {i}")[0]
+        rows = tuple(_row_entries(row, f"refinement row {i}")
                      for i, row in enumerate(self.rows))
-        total = _finite_total(_fsum(c for row in rows for c in row), "refinement")
+        total = _fsum(c for row in rows for c in row)
+        if total == math.inf:
+            raise _overflowing_sum("refinement")
         if abs(total - 1.0) > SUM_TOL:
             raise NotNormalized(
                 f"cells sum to {total!r}, not 1 within {SUM_TOL}"
@@ -159,11 +318,11 @@ class Refinement:
 
     def flatten(self) -> Distribution:
         """All cells in row-major order, as a Distribution."""
-        return Distribution._of_valid_entries(tuple([c for row in self.rows for c in row]))
+        return Distribution._of_valid_entries(np.array([c for row in self.rows for c in row]))
 
     def marginals(self) -> Distribution:
         """Row sums p_i = sum_j p_ij."""
-        return Distribution._of_valid_entries(tuple([math.fsum(row) for row in self.rows]))
+        return Distribution._of_valid_entries(np.array([math.fsum(row) for row in self.rows]))
 
     def conditional(self, i: int) -> Distribution:
         """Conditional distribution p(j|i) = p_ij / p_i for row i.
@@ -177,7 +336,7 @@ class Refinement:
         p_i = math.fsum(row)
         if p_i <= 0.0:
             raise ZeroMarginal(f"row {i} has zero marginal probability")
-        return Distribution._of_valid_entries(tuple([c / p_i for c in row]))
+        return Distribution._of_valid_entries(np.array([c / p_i for c in row]))
 
 
 def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:
@@ -186,7 +345,7 @@ def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:
     Uses exponential spacings: g_i ~ Exp(1), p_i = g_i / sum g.
     Bit-reproducible for a fixed seed.
     """
-    return [Distribution(tuple(row)) for row in _simplex_rows(n, count, seed).tolist()]
+    return [Distribution(row) for row in _simplex_rows(n, count, seed).tolist()]
 
 
 def _simplex_rows(n: int, count: int, seed: int) -> np.ndarray:

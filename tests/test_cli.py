@@ -175,6 +175,8 @@ def test_bad_q_exits_2(tsallis_file, capsys, argv, q, message):
     (["axioms", "--family", "TSALLIS", "--dims", "2,nan"], "--dims must be positive integers"),
     (["eval", "--family", "TSALLIS", "--q", "2", "--dist", "[0.5,0.5]", "--digits", "-1"],
      "--digits must be >= 0, got -1"),
+    (["eval", "--family", "TSALLIS", "--q", "2", "--dist", f"[{10**400}, 1]",
+      "--mode", "normalize"], "distribution entry 0 is beyond the float range"),
     (["counterexample", "--digits", "-1"], "--digits must be >= 0, got -1"),
     (["counterexample", "--k", "nan"], "--k must be positive, got nan"),
     (["counterexample", "--k", "inf"], "--k must be finite, got inf"),

@@ -90,6 +90,34 @@ _REFUSED = [
 ]
 
 
+# Inputs that are not a sequence of real numbers, each refused as an
+# InputError that names the entry where there is one.  numpy alone would
+# read None as NaN, a nested list as a 2-D array and a string as a 0-d
+# array, so each case is decided before the array is trusted.
+_MALFORMED = [
+    ([0.5, None], InputError, "distribution entry 1 is not a real number: None"),
+    ([[0.5, 0.5]], InputError, "distribution entry 0 is not a real number: [0.5, 0.5]"),
+    ([0.5, [0.25, 0.25]], InputError,
+     "distribution entry 1 is not a real number: [0.25, 0.25]"),
+    ([1j, 1.0], InputError, "distribution entry 0 is not a real number: 1j"),
+    ([0.5, np.complex128(0.5)], InputError,
+     f"distribution entry 1 is not a real number: {np.complex128(0.5)!r}"),
+    ([0.5, "abc"], InputError, "distribution entry 1 is not a real number: 'abc'"),
+    ([10**401, 1], InputError, "distribution entry 0 is beyond the float range"),
+    ([NAN, None], InputError, "distribution entry 0 is not finite: nan"),
+    ([-1.0, None], NegativeEntry, "distribution entry 0 is negative: -1.0"),
+    ("11", InputError, "distribution must be a sequence of numbers, not '11'"),
+    (0.5, InputError, "distribution must be a sequence of numbers, got float"),
+    (np.array([[0.5, 0.5]]), InputError,
+     "distribution must be one-dimensional, got shape (1, 2)"),
+    (np.array(1.0), InputError, "distribution must be one-dimensional, got shape ()"),
+    (np.array([0.5, 0.5j]), InputError,
+     f"distribution entry 0 is not a real number: {np.complex128(0.5)!r}"),
+    (np.array([0.5, None], dtype=object), InputError,
+     "distribution entry 1 is not a real number: None"),
+]
+
+
 def _refusal(call) -> tuple[type, str]:
     with pytest.raises(InputError) as info:
         call()
@@ -109,6 +137,15 @@ class TestValidationErrors:
         assert _refusal(lambda: make_distribution(array, "normalize")) == (cls, message)
         assert _refusal(
             lambda: make_distribution((v for v in values), "normalize")) == (cls, message)
+
+    @pytest.mark.parametrize("values,cls,message", _MALFORMED)
+    def test_malformed_input(self, values, cls, message):
+        for mode in ("normalize", "strict"):
+            assert _refusal(lambda: make_distribution(values, mode)) == (cls, message)
+        assert _refusal(lambda: Distribution(values)) == (cls, message)
+        if isinstance(values, list):
+            assert _refusal(
+                lambda: make_distribution((v for v in values), "normalize")) == (cls, message)
 
     def test_array_and_generator_input_accepted(self):
         for values in (np.array([2.0, 1.0, 1.0]), (v for v in (2, 1, 1))):
@@ -133,6 +170,49 @@ class TestValidationErrors:
         assert d.probs == tuple(v / total for v in values)
         assert d.array.tolist() == list(d.probs)
         assert not d.array.flags.writeable
+
+
+class TestStorage:
+    """A Distribution holds one read-only float64 array; the tuple probs and
+    the kernel inputs ln p and the zero positions derive from it."""
+
+    def test_probs_is_the_array_as_a_tuple(self):
+        d = make_distribution([3.0, 1e-310, 0.0, 7.0], "normalize")
+        assert type(d.probs) is tuple
+        assert d.probs == tuple(d.array.tolist())
+        assert all(type(p) is float for p in d.probs)
+        assert len(d) == 4
+
+    def test_equality_and_hash_are_the_tuple_s(self):
+        a, b = Distribution((1.0, -0.0)), Distribution((1.0, 0.0))
+        assert a == b and hash(a) == hash(b)
+        assert a != Distribution((0.0, 1.0))
+        assert make_distribution([2, 1, 1], "normalize") == Distribution((0.5, 0.25, 0.25))
+        assert len({a, b, Distribution((0.0, 1.0))}) == 2
+
+    def test_caller_array_is_copied(self):
+        values = np.array([0.5, 0.25, 0.25])
+        d, m = Distribution(values), make_distribution(values, "strict")
+        values[0] = 0.75
+        for e in (d, m):
+            assert e.probs == (0.5, 0.25, 0.25)
+            assert e.array.tolist() == [0.5, 0.25, 0.25]
+            assert not np.shares_memory(e.array, values)
+
+    def test_arrays_are_read_only(self):
+        d = make_distribution([2.0, 0.0, 1.0, 1.0, 0.0], "normalize")
+        with np.errstate(divide="ignore"):
+            assert d.log.tolist() == np.log(d.array).tolist()
+        assert d.log[1] == -math.inf
+        assert d.zeros.tolist() == [1, 4]
+        for array in (d.array, d.log, d.zeros):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(AttributeError):
+            d.probs = (1.0,)
+        with pytest.raises(AttributeError):
+            d.array = np.ones(1)
 
 
 class TestRefinement:
