@@ -157,17 +157,7 @@ def _prob_array(values: Iterable[float], what: str) -> tuple[np.ndarray, float]:
     any input that fails, is scanned entry by entry to name the first
     offending entry.  The array is a copy, never the caller's.
     """
-    if isinstance(values, (str, bytes)):
-        raise InputError(f"{what} must be a sequence of numbers, not {values!r}")
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise InputError(f"{what} must be one-dimensional, got shape {values.shape}")
-    elif not isinstance(values, (list, tuple)):
-        try:
-            values = list(values)
-        except TypeError:
-            raise InputError(
-                f"{what} must be a sequence of numbers, got {type(values).__name__}") from None
+    values = _sequence(values, what)
     try:
         entries = np.array(values)
     except (TypeError, ValueError, OverflowError):
@@ -186,14 +176,29 @@ def _prob_array(values: Iterable[float], what: str) -> tuple[np.ndarray, float]:
     raise _overflowing_sum(what)
 
 
+def _sequence(values: Iterable, what: str) -> list | tuple | np.ndarray:
+    """values as a list, tuple or 1-D array; a string, a non-iterable or an
+    array of another shape is refused."""
+    if isinstance(values, (str, bytes)):
+        raise InputError(f"{what} must be a sequence of numbers, not {values!r}")
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise InputError(f"{what} must be one-dimensional, got shape {values.shape}")
+    elif not isinstance(values, (list, tuple)):
+        try:
+            values = list(values)
+        except TypeError:
+            raise InputError(
+                f"{what} must be a sequence of numbers, got {type(values).__name__}") from None
+    return values
+
+
 def _row_entries(values: Iterable[float], what: str) -> tuple[float, ...]:
-    """values as a tuple of finite nonnegative floats: _prob_array's entry
-    checks on a tuple, for the short rows of a Refinement."""
-    entries = tuple([*map(float, values)])
+    """values as a tuple of finite nonnegative floats, for the short rows of
+    a Refinement: the same refusals as _prob_array, scanned in Python."""
+    entries = tuple(_checked_floats(_sequence(values, what), what))
     if not entries:
         raise InputError(f"{what} must have at least one entry")
-    if not (min(entries) >= 0.0 and _fsum(entries) < math.inf):
-        _checked_floats(entries, what)
     return entries
 
 
@@ -237,6 +242,9 @@ class Distribution:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r} of an immutable Distribution")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r} of an immutable Distribution")
 
     @cached_property
     def probs(self) -> tuple[float, ...]:
@@ -345,7 +353,7 @@ def sample_simplex(n: int, count: int, seed: int) -> list[Distribution]:
     Uses exponential spacings: g_i ~ Exp(1), p_i = g_i / sum g.
     Bit-reproducible for a fixed seed.
     """
-    return [Distribution(row) for row in _simplex_rows(n, count, seed).tolist()]
+    return [Distribution(row) for row in _simplex_rows(n, count, seed)]
 
 
 def _simplex_rows(n: int, count: int, seed: int) -> np.ndarray:
@@ -377,9 +385,9 @@ def sample_refinement(n: int, max_m: int, count: int, seed: int) -> list[Refinem
         lengths = rng.integers(1, max_m + 1, size=n)
         cells = rng.standard_exponential(int(lengths.sum()))
         cells /= cells.sum()
-        rows, pos = [], 0
-        for m in lengths:
-            rows.append(tuple([float(c) for c in cells[pos:pos + m]]))
-            pos += int(m)
+        cells, rows, pos = cells.tolist(), [], 0
+        for m in lengths.tolist():
+            rows.append(tuple(cells[pos:pos + m]))
+            pos += m
         out.append(Refinement(tuple(rows)))
     return out

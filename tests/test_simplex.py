@@ -146,6 +146,8 @@ class TestValidationErrors:
         if isinstance(values, list):
             assert _refusal(
                 lambda: make_distribution((v for v in values), "normalize")) == (cls, message)
+        row_message = message.replace("distribution", "refinement row 1", 1)
+        assert _refusal(lambda: Refinement(((0.5,), values))) == (cls, row_message)
 
     def test_array_and_generator_input_accepted(self):
         for values in (np.array([2.0, 1.0, 1.0]), (v for v in (2, 1, 1))):
@@ -213,6 +215,10 @@ class TestStorage:
             d.probs = (1.0,)
         with pytest.raises(AttributeError):
             d.array = np.ones(1)
+        for name in ("array", "probs", "log", "zeros"):
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+        assert d.probs == (0.5, 0.0, 0.25, 0.25, 0.0)
 
 
 class TestRefinement:
