@@ -52,18 +52,35 @@ def _fsum(values: Iterable[float]) -> float:
         return math.inf
 
 
-# Rows this long are summed in integers (_mantissa_sums) rather than by
-# math.fsum, which makes a Python float per entry.  frexp writes a finite
-# double as m 2^e with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer
-# M = m 2^53, and e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are
-# binned by (row, 8-binade band of e - 53), M is shifted left by its place in
-# the band and split into a high and a low half (|M| >> 26 < 2^27, low 26
-# bits), and the halves add up in int64 bins: each term is below 2^34, so a
-# bin cannot overflow in a row shorter than _LONG_ROW_MAX.  Blocks of
-# _BLOCK entries keep the temporaries small.
+# Rows this long are summed by error-free extraction (_extracted_sums; Rump,
+# Ogita and Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
+# Comput. 31(1), 2008), not by math.fsum, which makes a Python float per
+# entry.  Rows are cut into equal segments of at most _BLOCK entries, and a
+# block holds the segments of as many rows as fit in _BLOCK entries.  Let
+# 2^shift >= the segment length.  A level on a segment r with a power of two
+# sigma >= 2^shift max|r| takes q = (sigma + r) - sigma: q and r - q are
+# exact, and the q's are multiples of 2^-53 sigma no larger than 2^-shift
+# sigma, so every partial sum of them is exact and tau = q.sum() is the same
+# in any order, on every SIMD target.  The remainder is below 2^-53 sigma, so
+# the next level takes sigma 2^(shift - 53).  After _LEVELS levels the row's
+# sum is math.fsum of its taus: exact if the remainder is zero, and also if no
+# remainder within its bound (segment length times largest remainder) can move
+# the rounding (_settled).  A row goes to _mantissa_sums instead (fsum if it is
+# not finite or too long) if its sigma would overflow, a segment has entries
+# of both signs (the sum may cancel far below them), or its rounding is left
+# open (a near tie).
+#
+# _mantissa_sums sums in integers.  frexp writes a finite double as m 2^e
+# with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer M = m 2^53, and
+# e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are binned by (row,
+# 8-binade band of e - 53), M is shifted left by its place in the band and
+# split into a high and a low half (|M| >> 26 < 2^27, low 26 bits), and the
+# halves add up in int64 bins: each term is below 2^34, so a bin cannot
+# overflow in a row shorter than _LONG_ROW_MAX.
 _LONG_ROW = 1024
 _LONG_ROW_MAX = 1 << 29
-_BLOCK = 8192
+_BLOCK = 1 << 15
+_LEVELS = 2
 _EXP_MIN = -1126
 _BANDS = ((1024 - 53 - _EXP_MIN) >> 3) + 1
 
@@ -110,19 +127,84 @@ def _mantissa_sums(X: np.ndarray) -> list[float]:
     return sums
 
 
+def _extracted_sums(X: np.ndarray) -> list[float | None]:
+    """math.fsum of each row of the 2-D X by extraction levels, bit for bit;
+    None for a row that the levels leave to _mantissa_sums or fsum."""
+    rows, cols = X.shape
+    width = -(-cols // -(-cols // _BLOCK))
+    height = max(1, _BLOCK // width)
+    shift = (width - 1).bit_length()
+    taus = [[] for _ in range(rows)]
+    left = np.zeros(rows)
+    for first in range(0, rows, height):
+        stop = min(rows, first + height)
+        for start in range(0, cols, width):
+            if (left[first:stop] == math.inf).all():
+                break
+            r = X[first:stop, start:start + width]
+            high, low = r.max(axis=1), r.min(axis=1)
+            top = np.maximum(high, -low)
+            stuck = ((high > 0.0) & (low < 0.0)) | ~(top < 2.0 ** (1022 - shift))
+            if stuck.any():
+                left[first:stop][stuck] = math.inf
+                if stuck.all():
+                    continue
+                r = np.where(stuck[:, None], 0.0, r)
+                top[stuck] = 0.0
+            # sigma = 2^(shift + e) with top < 2^e, built from its bits, and
+            # large enough that no level's sigma is subnormal, which is slow
+            exp = np.maximum((top.view(np.int64) >> 52) + (1 + shift),
+                             (_LEVELS - 1) * (53 - shift) + 1)
+            sigma = (exp << 52).view(np.float64)[:, None]
+            levels = []
+            for _ in range(_LEVELS):
+                q = r + sigma
+                q -= sigma
+                levels.append(q.sum(axis=1).tolist())
+                r = np.subtract(r, q, out=q)
+                sigma *= 2.0 ** (shift - 53)
+            left[first:stop] += width * np.abs(r).max(axis=1)
+            for i, level_taus in enumerate(zip(*levels), first):
+                taus[i] += level_taus
+    sums = []
+    # left adds up width * max|r| in floats, which may round low; twice it cannot
+    for parts, bound in zip(taus, left.tolist()):
+        try:
+            t = math.fsum(parts)
+            sums.append(t if not bound or _settled(t, parts, 2.0 * bound) else None)
+        except OverflowError:
+            sums.append(None)
+    return sums
+
+
+def _settled(t: float, parts: list[float], bound: float) -> bool:
+    """Whether every T + R with |R| <= bound rounds to t, where T is the
+    exact sum of parts and t = fsum(parts): T - bound and T + bound both lie
+    strictly between the midpoints from t to its neighbours, where a tie
+    could round either way; past the largest float the upper midpoint is
+    the overflow threshold.  fsum gives each difference's sign exactly."""
+    up = min(math.nextafter(t, math.inf) - t, math.ulp(t)) / 2
+    down = min(t - math.nextafter(t, -math.inf), math.ulp(t)) / 2
+    return math.fsum(parts + [-t, bound, -up]) < 0.0 < math.fsum(parts + [-t, -bound, down])
+
+
 def _exact_sums(X: np.ndarray) -> list[float]:
     """math.fsum of each row of the 2-D array X, bit for bit; where fsum
     overflows it reads inf.  fsum overflows where a partial sum does; on a
     single-signed row that is where the sum itself does.
 
-    Short rows and rows with a non-finite entry go to math.fsum, long finite
-    rows to _mantissa_sums."""
-    if not _LONG_ROW <= X.shape[1] < _LONG_ROW_MAX:
+    Short rows go to math.fsum, long rows to _extracted_sums, and the long
+    rows that it leaves open to _mantissa_sums or math.fsum."""
+    if X.shape[1] < _LONG_ROW:
         return [_fsum(memoryview(row)) for row in X]
-    finite = np.isfinite(X).all(axis=1).tolist()
-    exact = iter(_mantissa_sums(X if all(finite) else X[finite]))
-    return [next(exact) if ok else _fsum(memoryview(row))
-            for ok, row in zip(finite, X)]
+    sums = _extracted_sums(X)
+    if None in sums:
+        finite = (np.isfinite(X).all(axis=1) & (X.shape[1] < _LONG_ROW_MAX)).tolist()
+        exact = [s is None and ok for s, ok in zip(sums, finite)]
+        integer = iter(_mantissa_sums(X if all(exact) else X[exact]))
+        sums = [next(integer) if use else _fsum(memoryview(row)) if s is None else s
+                for s, use, row in zip(sums, exact, X)]
+    return sums
 
 
 def _checked_floats(values: Iterable, what: str) -> list[float]:
@@ -176,11 +258,11 @@ def _prob_array(values: Iterable[float], what: str) -> tuple[np.ndarray, float]:
     raise _overflowing_sum(what)
 
 
-def _sequence(values: Iterable, what: str) -> list | tuple | np.ndarray:
+def _sequence(values: Iterable, what: str, items: str = "numbers") -> list | tuple | np.ndarray:
     """values as a list, tuple or 1-D array; a string, a non-iterable or an
     array of another shape is refused."""
     if isinstance(values, (str, bytes)):
-        raise InputError(f"{what} must be a sequence of numbers, not {values!r}")
+        raise InputError(f"{what} must be a sequence of {items}, not {values!r}")
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise InputError(f"{what} must be one-dimensional, got shape {values.shape}")
@@ -189,7 +271,7 @@ def _sequence(values: Iterable, what: str) -> list | tuple | np.ndarray:
             values = list(values)
         except TypeError:
             raise InputError(
-                f"{what} must be a sequence of numbers, got {type(values).__name__}") from None
+                f"{what} must be a sequence of {items}, got {type(values).__name__}") from None
     return values
 
 
@@ -311,10 +393,10 @@ class Refinement:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        rows = _sequence(self.rows, "refinement", "rows")
+        if not len(rows):
             raise InputError("refinement must have at least one row")
-        rows = tuple(_row_entries(row, f"refinement row {i}")
-                     for i, row in enumerate(self.rows))
+        rows = tuple(_row_entries(row, f"refinement row {i}") for i, row in enumerate(rows))
         total = _fsum(c for row in rows for c in row)
         if total == math.inf:
             raise _overflowing_sum("refinement")

@@ -1,0 +1,59 @@
+"""Print the cost of the exactly rounded row sum, _exact_sums, per call.
+
+One line per input class and row length n in {1024, 10^4, 10^5}: the best of
+five timings of a call, in microseconds, and the same per entry in
+nanoseconds.  The input classes:
+
+    typical   seeded exponential entries with 10% exact zeros, normalized
+              to sum to one, as a Distribution's entries or its terms are
+    wide      entries m 2^e with e uniform over -1074..1000, far more bits
+              than the extraction levels take off; their remainder is too
+              small to move the rounding
+    cancel    the wide entries and their negatives, shuffled: the sum is
+              zero, so the remainder can move the rounding, and the row
+              goes on to the integer sums, the slowest way through
+    ... x40   40 such rows summed in one call, as the kernel sums a batch
+
+Compare the listing with another tree's to see what a change to the sum
+costs, input class by input class; nothing is checked:
+
+    python tests/sum_costs.py
+
+The name does not start with ``test_``, so pytest does not collect it.
+"""
+
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+sys.path[:0] = [str(Path(__file__).parents[1] / "src")]
+
+from qentropy.simplex import _exact_sums  # noqa: E402
+
+
+def _typical(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    rows = rng.standard_exponential(shape)
+    rows[rng.random(shape) < 0.1] = 0.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _wide(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 1000, shape))
+
+
+def _cancel(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    half = _wide(rng, (shape[0], shape[1] // 2))
+    return rng.permuted(np.concatenate([half, -half], axis=1), axis=1)
+
+
+for n in (1024, 10_000, 100_000):
+    for rows in (1, 40):
+        for name, make in (("typical", _typical), ("wide", _wide), ("cancel", _cancel)):
+            X = make(np.random.default_rng(n), (rows, n))
+            number = max(1, 2_000_000 // X.size)
+            best = min(timeit.repeat(lambda: _exact_sums(X), number=number, repeat=5)) / number
+            label = name if rows == 1 else f"{name} x{rows}"
+            print(f"{label:<12} n={n:<7} {best * 1e6:10.1f} us "
+                  f"{best * 1e9 / X.size:6.1f} ns/entry")

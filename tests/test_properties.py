@@ -17,6 +17,7 @@ for bit, and an array call of information_content to its 1-element calls.
 
 import importlib.util
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from qentropy.entropy import (  # noqa: E402
     trace_expectation,
 )
 from qentropy.errors import EvaluationError, ZeroWithNonpositiveExponent  # noqa: E402
+from qentropy import simplex  # noqa: E402
 from qentropy.simplex import _BLOCK, _LONG_ROW, Distribution, make_distribution  # noqa: E402
 
 DPS = 30
@@ -201,8 +203,8 @@ def _long_row(n: int) -> list[float]:
 def test_batched_rows_equal_one_row_calls(rows, long_rows, pad, q, kind, gamma, k_exp):
     """entropies() on NaN-padded ragged rows gives each row's 1-row value bit
     for bit, or raises an EvaluationError exactly when some row does.  With
-    rows of ~10^4 entries the batch is summed in integers while the short
-    rows' 1-row calls use math.fsum.  The 1-row value is the same whether
+    rows of ~10^4 entries the batch is summed by extraction levels while
+    the short rows' 1-row calls use math.fsum.  The 1-row value is the same whether
     the distribution's cached kernel inputs are new or already used."""
     f = _family(kind, gamma, 10.0**k_exp)
     ds = [make_distribution(values, "normalize")
@@ -231,7 +233,7 @@ def test_batched_rows_equal_one_row_calls(rows, long_rows, pad, q, kind, gamma, 
 
 def _row_just_below_cut(seed: int) -> list[float]:
     """_LONG_ROW - 1 seeded entries with zeros: math.fsum sums the row, and
-    the integer sums sum it once a zero is appended."""
+    the extraction levels sum it once a zero is appended."""
     rng = np.random.default_rng(seed)
     values = rng.exponential(size=_LONG_ROW - 1)
     values[rng.random(values.size) < 0.1] = 0.0
@@ -278,13 +280,17 @@ def test_permuting_or_appending_zeros_keeps_every_bit(values, zeros, seed, q, ki
             ZeroWithNonpositiveExponent if zero_raises else base), form
 
 
-_CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1,
-                _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5)
+# Row lengths on both sides of the length cut, and ones whose blocks of
+# _BLOCK entries hold 4, 3, 2 or 1 rows, or cut a row into 2 or 3 segments:
+# with up to 5 rows, a batch straddles the block edges.
+_CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, _BLOCK // 4,
+                _BLOCK // 3, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK,
+                _BLOCK + 1, 2 * _BLOCK + 5)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(
-    rows=st.integers(1, 3),
+    rows=st.integers(1, 5),
     length=st.sampled_from(_CUT_LENGTHS),
     exponents=st.lists(st.integers(-1074, 1024), min_size=2, max_size=2).map(sorted),
     sign=st.sampled_from(("+", "-", "mixed")),
@@ -294,7 +300,8 @@ _CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1,
 )
 def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special, seed):
     """_row_sums is math.fsum of each row's p > 0 entries, bit for bit, on
-    both sides of the length cut and across block edges: terms m 2^e with e
+    both sides of the length cut, across segment edges within a row and
+    block edges between rows: terms m 2^e with e
     anywhere from the subnormals to the top of the range, exact zeros, and
     NaN in the entries outside the mask.  An fsum that overflows reads inf;
     on a mixed-sign row the exact sum may not overflow, so such rows are
@@ -319,6 +326,76 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
             want.append(None if sign == "mixed" else math.inf.hex())
     got = _row_sums(terms.copy(), ~positive)
     assert [None if w is None else g.hex() for g, w in zip(got, want)] == want
+
+
+def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
+    """Rows of 4,096 entries, each with the number of its rows that the
+    extraction levels leave to the integer sums."""
+    n = 4096
+    rng = np.random.default_rng(15)
+
+    def row(*entries):
+        values = np.zeros(n)
+        values[:len(entries)] = entries
+        return values[rng.permutation(n)]
+
+    wide = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1001, n))
+    wide[:2] = (5e-324, 2.0**1000)
+    halves = np.ldexp(rng.uniform(0.5, 1.0, n // 2), rng.integers(-10, 11, n // 2))
+    cancel = np.concatenate([halves, -halves])[rng.permutation(n)]
+    typical = rng.standard_exponential(n)
+    broken_tie = row(1.0, 2.0**-53, 5e-324)
+    return {
+        "past the level budget": (wide[None], 0),
+        "no headroom, finite sum": (row(1.7e308, -1.6e308, 1.0, 3.0)[None], 1),
+        "no headroom, overflowing sum": (row(1.7e308, 1.7e308)[None], 1),
+        "tie to even, down": (row(1.0, 2.0**-53)[None], 0),
+        "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 0),
+        "tie broken beyond the levels": (broken_tie[None], 1),
+        "cancels to zero": (cancel[None], 1),
+        "batch with one open row": (np.stack([typical, broken_tie, wide]), 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_branch_rows()))
+def test_exact_sum_branches_equal_fsum(name, monkeypatch):
+    """Each branch of the long-row sum gives math.fsum's bits (inf where fsum
+    overflows): rows the extraction levels settle, with a zero remainder or
+    one too small to move the rounding, and rows they leave to the integer
+    sums.  A batch gives each row its 1-row value."""
+    X, fallbacks = _branch_rows()[name]
+    calls = []
+    mantissa_sums = simplex._mantissa_sums
+    monkeypatch.setattr(simplex, "_mantissa_sums",
+                        lambda rows: calls.extend(rows) or mantissa_sums(rows))
+    want = []
+    for row in X:
+        try:
+            want.append(math.fsum(row.tolist()).hex())
+        except OverflowError:
+            want.append(math.inf.hex())
+    assert [v.hex() for v in simplex._exact_sums(X)] == want
+    assert len(calls) == fallbacks
+    assert [simplex._exact_sums(row[None])[0].hex() for row in X] == want
+
+
+@pytest.mark.parametrize("t,parts,bound,settled", [
+    (1.0, [1.0], 2.0**-55, True),
+    (1.0, [1.0], 2.0**-54, False),  # 1 - 2^-54 ties with 1 - 2^-53 below 1
+    (1.0 + 2.0**-52, [1.0 + 2.0**-52], 2.0**-54, True),
+    (1.0 + 2.0**-52, [1.0 + 2.0**-52], 2.0**-53, False),  # ties above and below
+    (1.0, [1.0, 2.0**-60], 2.0**-55, True),
+    (1.0, [1.0, 2.0**-54], 2.0**-54, False),
+    (0.0, [1.0, -1.0], 5e-324, False),
+    (sys.float_info.max, [sys.float_info.max, 2.0**969], 2.0**968, True),
+    # T + bound reaches the overflow threshold, max + 2^970
+    (sys.float_info.max, [sys.float_info.max, 2.0**969], 2.0**969, False),
+    (-sys.float_info.max, [-sys.float_info.max], 2.0**970, False),
+])
+def test_settled_keeps_off_both_midpoints(t, parts, bound, settled):
+    """A remainder within the bound leaves the rounding alone only if it
+    cannot reach a midpoint to either neighbour, or the overflow threshold."""
+    assert simplex._settled(t, parts, bound) is settled
 
 
 def _large_histogram(seed: int, n: int = 10_000) -> Distribution:

@@ -165,6 +165,17 @@ class TestValidationErrors:
         assert _refusal(lambda: Refinement(((1e308, 1e308), (-1.0,)))) == (
             NegativeEntry, "refinement row 1 entry 0 is negative: -1.0")
 
+    @pytest.mark.parametrize("rows,message", [
+        (None, "refinement must be a sequence of rows, got NoneType"),
+        (5, "refinement must be a sequence of rows, got int"),
+        (3.0, "refinement must be a sequence of rows, got float"),
+        (object(), "refinement must be a sequence of rows, got object"),
+        ("ab", "refinement must be a sequence of rows, not 'ab'"),
+        ((), "refinement must have at least one row"),
+    ])
+    def test_refinement_refuses_a_non_sequence(self, rows, message):
+        assert _refusal(lambda: Refinement(rows)) == (InputError, message)
+
     def test_array_is_the_divided_entries(self):
         values = [3.0, 1e-310, 0.0, 7.0]
         d = make_distribution(values, "normalize")
