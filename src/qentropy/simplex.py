@@ -59,77 +59,24 @@ def _fsum(values: Iterable[float]) -> float:
 # block holds the segments of as many rows as fit in _BLOCK entries.  Let
 # 2^shift >= the segment length.  A level on a segment r with a power of two
 # sigma >= 2^shift max|r| takes q = (sigma + r) - sigma: q and r - q are
-# exact, and the q's are multiples of 2^-53 sigma no larger than 2^-shift
-# sigma, so every partial sum of them is exact and tau = q.sum() is the same
-# in any order, on every SIMD target.  The remainder is below 2^-53 sigma, so
-# the next level takes sigma 2^(shift - 53).  After _LEVELS levels the row's
-# sum is math.fsum of its taus: exact if the remainder is zero, and also if no
-# remainder within its bound (segment length times largest remainder) can move
-# the rounding (_settled).  A row goes to _mantissa_sums instead (fsum if it is
-# not finite or too long) if its sigma would overflow, a segment has entries
-# of both signs (the sum may cancel far below them), or its rounding is left
-# open (a near tie).
-#
-# _mantissa_sums sums in integers.  frexp writes a finite double as m 2^e
-# with 0.5 <= |m| < 1, so x = M 2^(e - 53) with the integer M = m 2^53, and
-# e - 53 >= _EXP_MIN (2^-1074 = 0.5 2^-1073).  Entries are binned by (row,
-# 8-binade band of e - 53), M is shifted left by its place in the band and
-# split into a high and a low half (|M| >> 26 < 2^27, low 26 bits), and the
-# halves add up in int64 bins: each term is below 2^34, so a bin cannot
-# overflow in a row shorter than _LONG_ROW_MAX.
+# exact for entries of either sign, and the q's are multiples of 2^-53 sigma
+# no larger than 2^-shift sigma, so every partial sum of them is exact and
+# tau = q.sum() is the same in any order, on every SIMD target.  The
+# remainder is at most 2^-53 sigma, so the next level takes sigma
+# 2^(shift - 53).  After _LEVELS levels the row's sum is math.fsum of its
+# taus: exact if the remainder is zero, and also if no remainder within its
+# bound (segment length times largest remainder) can move the rounding
+# (_settled).  A row is left to math.fsum instead if its sigma would
+# overflow (or an entry is not finite), or its rounding is left open: a near
+# tie, or a sum that cancels far below its entries.
 _LONG_ROW = 1024
-_LONG_ROW_MAX = 1 << 29
 _BLOCK = 1 << 15
 _LEVELS = 2
-_EXP_MIN = -1126
-_BANDS = ((1024 - 53 - _EXP_MIN) >> 3) + 1
-
-
-def _exact_float(total: int, exponent: int) -> float:
-    """total * 2^exponent, correctly rounded half-even; inf on overflow."""
-    try:
-        return float(total << exponent) if exponent >= 0 else total / (1 << -exponent)
-    except OverflowError:
-        return math.inf
-
-
-def _mantissa_sums(X: np.ndarray) -> list[float]:
-    """Correctly rounded sum of each row of the finite C-contiguous X."""
-    rows, cols = X.shape
-    hi = np.zeros(rows * _BANDS, np.int64)
-    lo = np.zeros(rows * _BANDS, np.int64)
-    flat = X.reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        m, e = np.frexp(flat[start:start + _BLOCK])
-        m *= 2.0 ** 53
-        mant = m.astype(np.int64)
-        e -= 53 + _EXP_MIN
-        band = np.right_shift(e, 3, dtype=np.int64)
-        place = np.bitwise_and(e, 7, dtype=np.int64)
-        if rows > 1:
-            band += np.arange(start, start + mant.size) // cols * _BANDS
-        np.add.at(hi, band, (mant >> 26) << place)
-        mant &= (1 << 26) - 1
-        mant <<= place
-        np.add.at(lo, band, mant)
-    hi = hi.reshape(rows, _BANDS)
-    lo = lo.reshape(rows, _BANDS)
-    used = np.flatnonzero((hi | lo).any(axis=0))
-    if not used.size:
-        return [0.0] * rows
-    first, stop = int(used[0]), int(used[-1]) + 1
-    sums = []
-    for his, los in zip(hi[:, first:stop].tolist(), lo[:, first:stop].tolist()):
-        total = 0
-        for h, l in zip(reversed(his), reversed(los)):
-            total = (total << 8) + (h << 26) + l
-        sums.append(_exact_float(total, 8 * first + _EXP_MIN))
-    return sums
 
 
 def _extracted_sums(X: np.ndarray) -> list[float | None]:
     """math.fsum of each row of the 2-D X by extraction levels, bit for bit;
-    None for a row that the levels leave to _mantissa_sums or fsum."""
+    None for a row that the levels leave to fsum."""
     rows, cols = X.shape
     width = -(-cols // -(-cols // _BLOCK))
     height = max(1, _BLOCK // width)
@@ -142,9 +89,8 @@ def _extracted_sums(X: np.ndarray) -> list[float | None]:
             if (left[first:stop] == math.inf).all():
                 break
             r = X[first:stop, start:start + width]
-            high, low = r.max(axis=1), r.min(axis=1)
-            top = np.maximum(high, -low)
-            stuck = ((high > 0.0) & (low < 0.0)) | ~(top < 2.0 ** (1022 - shift))
+            top = np.maximum(r.max(axis=1), -r.min(axis=1))
+            stuck = ~(top < 2.0 ** (1022 - shift))
             if stuck.any():
                 left[first:stop][stuck] = math.inf
                 if stuck.all():
@@ -194,17 +140,11 @@ def _exact_sums(X: np.ndarray) -> list[float]:
     single-signed row that is where the sum itself does.
 
     Short rows go to math.fsum, long rows to _extracted_sums, and the long
-    rows that it leaves open to _mantissa_sums or math.fsum."""
+    rows that it leaves open to math.fsum."""
     if X.shape[1] < _LONG_ROW:
         return [_fsum(memoryview(row)) for row in X]
-    sums = _extracted_sums(X)
-    if None in sums:
-        finite = (np.isfinite(X).all(axis=1) & (X.shape[1] < _LONG_ROW_MAX)).tolist()
-        exact = [s is None and ok for s, ok in zip(sums, finite)]
-        integer = iter(_mantissa_sums(X if all(exact) else X[exact]))
-        sums = [next(integer) if use else _fsum(memoryview(row)) if s is None else s
-                for s, use, row in zip(sums, exact, X)]
-    return sums
+    return [_fsum(memoryview(row)) if s is None else s
+            for s, row in zip(_extracted_sums(X), X)]
 
 
 def _checked_floats(values: Iterable, what: str) -> list[float]:
@@ -393,7 +333,10 @@ class Refinement:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = _sequence(self.rows, "refinement", "rows")
+        rows = self.rows
+        if isinstance(rows, np.ndarray) and rows.ndim > 1:
+            rows = list(rows)  # an array is the sequence of its rows
+        rows = _sequence(rows, "refinement", "rows")
         if not len(rows):
             raise InputError("refinement must have at least one row")
         rows = tuple(_row_entries(row, f"refinement row {i}") for i, row in enumerate(rows))

@@ -11,7 +11,7 @@ nanoseconds.  The input classes:
               small to move the rounding
     cancel    the wide entries and their negatives, shuffled: the sum is
               zero, so the remainder can move the rounding, and the row
-              goes on to the integer sums, the slowest way through
+              goes on to math.fsum, the slowest way through
     ... x40   40 such rows summed in one call, as the kernel sums a batch
 
 Compare the listing with another tree's to see what a change to the sum

@@ -293,7 +293,7 @@ _CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, _BLOCK // 4,
     rows=st.integers(1, 5),
     length=st.sampled_from(_CUT_LENGTHS),
     exponents=st.lists(st.integers(-1074, 1024), min_size=2, max_size=2).map(sorted),
-    sign=st.sampled_from(("+", "-", "mixed")),
+    sign=st.sampled_from(("+", "-", "mixed", "cancel")),
     zero_share=st.sampled_from((0.0, 0.1, 0.9)),
     special=st.sampled_from((None, math.inf, math.nan)),
     seed=st.integers(0, 2**32 - 1),
@@ -303,17 +303,28 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
     both sides of the length cut, across segment edges within a row and
     block edges between rows: terms m 2^e with e
     anywhere from the subnormals to the top of the range, exact zeros, and
-    NaN in the entries outside the mask.  An fsum that overflows reads inf;
-    on a mixed-sign row the exact sum may not overflow, so such rows are
-    not compared."""
+    NaN in the entries outside the mask.  A cancelling row holds entries and
+    their negations, shuffled, and one residual entry: 0, 5e-324 or the
+    row's smallest scale.  An fsum that overflows reads inf; on a row of
+    both signs the exact sum may not overflow, so such rows are not
+    compared."""
     rng = np.random.default_rng(seed)
     shape = (rows, length)
     terms = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(*exponents, shape,
                                                                  endpoint=True))
     terms[rng.random(shape) < zero_share] = 0.0
-    if sign != "+":
-        terms *= -1.0 if sign == "-" else rng.choice((-1.0, 1.0), shape)
     positive = rng.random(shape) >= 0.05
+    if sign == "cancel":
+        pairs = (length - 1) // 2
+        terms[:, pairs:2 * pairs] = -terms[:, :pairs]
+        positive[:, pairs:2 * pairs] = positive[:, :pairs]
+        terms[:, 2 * pairs:] = 0.0
+        terms[:, -1] = rng.choice((0.0, 5e-324, np.ldexp(0.5, exponents[0])))
+        order = rng.permuted(np.broadcast_to(np.arange(length), shape), axis=1)
+        terms = np.take_along_axis(terms, order, axis=1)
+        positive = np.take_along_axis(positive, order, axis=1)
+    elif sign != "+":
+        terms *= -1.0 if sign == "-" else rng.choice((-1.0, 1.0), shape)
     if special is not None:
         at = rng.integers(length)
         terms[0, at], positive[0, at] = special, True
@@ -323,14 +334,14 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
         try:
             want.append(math.fsum(row[mask].tolist()).hex())
         except OverflowError:
-            want.append(None if sign == "mixed" else math.inf.hex())
+            want.append(None if sign in ("mixed", "cancel") else math.inf.hex())
     got = _row_sums(terms.copy(), ~positive)
     assert [None if w is None else g.hex() for g, w in zip(got, want)] == want
 
 
 def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
     """Rows of 4,096 entries, each with the number of its rows that the
-    extraction levels leave to the integer sums."""
+    extraction levels leave to math.fsum."""
     n = 4096
     rng = np.random.default_rng(15)
 
@@ -343,6 +354,7 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
     wide[:2] = (5e-324, 2.0**1000)
     halves = np.ldexp(rng.uniform(0.5, 1.0, n // 2), rng.integers(-10, 11, n // 2))
     cancel = np.concatenate([halves, -halves])[rng.permutation(n)]
+    wide_cancel = np.concatenate([wide[:n // 2], -wide[:n // 2]])[rng.permutation(n)]
     typical = rng.standard_exponential(n)
     broken_tie = row(1.0, 2.0**-53, 5e-324)
     return {
@@ -352,7 +364,8 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
         "tie to even, down": (row(1.0, 2.0**-53)[None], 0),
         "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 0),
         "tie broken beyond the levels": (broken_tie[None], 1),
-        "cancels to zero": (cancel[None], 1),
+        "cancels to zero": (cancel[None], 0),
+        "cancels below the levels": (wide_cancel[None], 1),
         "batch with one open row": (np.stack([typical, broken_tie, wide]), 1),
     }
 
@@ -361,13 +374,13 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
 def test_exact_sum_branches_equal_fsum(name, monkeypatch):
     """Each branch of the long-row sum gives math.fsum's bits (inf where fsum
     overflows): rows the extraction levels settle, with a zero remainder or
-    one too small to move the rounding, and rows they leave to the integer
-    sums.  A batch gives each row its 1-row value."""
+    one too small to move the rounding, and rows they leave to math.fsum,
+    the only way a long row reaches it.  A batch gives each row its 1-row
+    value."""
     X, fallbacks = _branch_rows()[name]
     calls = []
-    mantissa_sums = simplex._mantissa_sums
-    monkeypatch.setattr(simplex, "_mantissa_sums",
-                        lambda rows: calls.extend(rows) or mantissa_sums(rows))
+    fsum = simplex._fsum
+    monkeypatch.setattr(simplex, "_fsum", lambda row: calls.append(row) or fsum(row))
     want = []
     for row in X:
         try:

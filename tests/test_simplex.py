@@ -271,6 +271,16 @@ class TestRefinement:
         with pytest.raises(NegativeEntry):
             Refinement(((1.1,), (-0.1,)))
 
+    def test_array_rows(self):
+        """A 2-D array is the sequence of its rows, as a list of 1-D arrays
+        is; a 3-D array's rows are refused as not one-dimensional."""
+        cells = np.array([[0.25, 0.25], [0.5, 0.0]])
+        r = Refinement(cells)
+        assert r == Refinement(list(cells)) == Refinement(((0.25, 0.25), (0.5, 0.0)))
+        assert all(type(c) is float for row in r.rows for c in row)
+        assert _refusal(lambda: Refinement(cells[None])) == (
+            InputError, "refinement row 0 must be one-dimensional, got shape (2, 2)")
+
 
 class TestSampleSimplex:
     def test_dimension_one_is_a_point(self):
