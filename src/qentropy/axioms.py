@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deformation import EntropyFamily
+from .deformation import DeformationFunction, EntropyFamily
 from .entropy import (
     _stack,
     _vanishing_phi,
@@ -65,7 +65,8 @@ REGION_Q_GRID = tuple(
 # The q -> 1 limit checks probe |q - 1| = 10^-j down to 1e-15, the smallest
 # offset from 1.0 that doubles resolve cleanly; quotients always divide by
 # the representable offset.
-_LIMIT_SCALES = tuple(range(3, 16))
+_LIMIT_HS = tuple(10.0 ** (-j) for j in range(3, 16))
+_LIMIT_QS = tuple(q for h in _LIMIT_HS for q in (1.0 + h, 1.0 - h))
 _LIMIT_TOL = 1e-4
 
 
@@ -187,23 +188,47 @@ class _Residuals:
 
 class _Memo:
     """A deformation function evaluated at most once per q.  Only values are
-    stored: a q that raised raises again, from the function itself.  The key
-    holds the type of q, because a numpy q can give a numpy result."""
+    stored, as Python floats: a q that raised raises again, from the
+    function itself.  fill stores a check's q set from one array call."""
 
-    def __init__(self, func: Callable[[float], float]) -> None:
+    def __init__(self, func: DeformationFunction) -> None:
         self.func = func
         self.values: dict = {}
 
     def __call__(self, q: float) -> float:
-        key = (type(q), q)
-        value = self.values.get(key)
+        value = self.values.get(q)
         if value is None:
-            value = self.values[key] = self.func(q)
+            value = self.values[q] = self.func(q)
         return value
+
+    def fill(self, qs: Sequence[float]) -> None:
+        """Store the function at the float q of qs not yet stored, from one
+        array call.  Never raises: a q the function cannot evaluate is left
+        out, so the float call at that q's place raises as it would
+        unfilled, and a power that overflows leaves the whole set out."""
+        new = np.array([q for q in dict.fromkeys(qs)
+                        if type(q) is float and q not in self.values])
+        new = new[self.func.defined(new)]
+        if not len(new):
+            return
+        try:
+            values = self.func.values(new)
+        except OverflowError:
+            return
+        self.values.update(zip(new.tolist(), values.tolist()))
+
+
+def _fill(qs: Sequence[float], *funcs: Callable[[float], float]) -> None:
+    """Fill each function that is a report's _Memo at qs; a no-op for a
+    check called on its own."""
+    for func in funcs:
+        if isinstance(func, _Memo):
+            func.fill(qs)
 
 
 def _is_tsallis_alpha(f: EntropyFamily, q_grid: Sequence[float]) -> bool:
     """True when alpha(q) coincides with 1 - q on the grid."""
+    _fill(q_grid, f.alpha)
     try:
         return all(abs(f.alpha(q) - (1.0 - q)) <= 1e-9 for q in q_grid)
     except QentropyError:
@@ -224,6 +249,7 @@ def check_maximality(
 ) -> CheckRecord:
     """Entropy of random simplex points never exceeds the uniform value."""
     name = "maximality"
+    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10, start=-math.inf) as acc:
         for n in n_set:
             # The uniform is row 0, so it is evaluated first at every q.
@@ -256,6 +282,7 @@ def check_expandability(
     evaluation error at a q leaves all of that q's gaps None.
     """
     P = _stack([d.probs for d in dists] + [d.probs + (0.0,) for d in dists])
+    _fill(q_grid, f.phi, f.alpha)
 
     def gaps_at(q: float) -> list[float]:
         values = entropies(P, f, q)
@@ -327,6 +354,7 @@ def check_generalized_additivity(
     if mode not in ("suyari", "generalized"):
         raise InputError(f"unknown mode {mode!r}")
     name = "shannon_additivity" if mode == "suyari" else "generalized_additivity"
+    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10) as acc:
         parts = _chain_parts(refinements)
         for q in q_grid:
@@ -350,6 +378,7 @@ def check_pseudoadditivity(
     name = "pseudoadditivity"
     rng = np.random.default_rng(_check_seed(seed, name))
     p1s, p2s = 1.0 - rng.random((samples, 2)).T  # values in (0, 1]
+    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10) as acc:
         for q in q_grid:
             joint = information_content(f, q, p1s * p2s)
@@ -376,15 +405,14 @@ def check_shannon_limit(
     check, not a limit of the entropy code, which evaluates the plain
     quotient for every q != 1.
     """
-    scales = (2, 3, 4, 5, 6)
+    hs = [10.0 ** (-j) for j in (2, 3, 4, 5, 6)]
     tol = 1e-2
     gap_detail = {}
-    with _Residuals("shannon_limit", [1.0 + 10.0 ** (-j) for j in scales],
-                    tol) as acc:
+    _fill([q for h in hs for q in (1.0 + h, 1.0 - h)], f.phi, f.alpha)
+    with _Residuals("shannon_limit", [1.0 + h for h in hs], tol) as acc:
         P = _stack([d.probs for d in dists])
         s1 = entropies(P, f, 1.0)
-        sides = [(entropies(P, f, 1.0 + h), entropies(P, f, 1.0 - h))
-                 for h in (10.0 ** (-j) for j in scales)]
+        sides = [(entropies(P, f, 1.0 + h), entropies(P, f, 1.0 - h)) for h in hs]
         gaps = [[max(abs(above[i] - s), abs(below[i] - s)) for above, below in sides]
                 for i, s in enumerate(s1)]
         final_rel = [g[-1] / (1.0 + s) for g, s in zip(gaps, s1)]
@@ -397,7 +425,7 @@ def check_shannon_limit(
         for d, g in zip(dists, gaps):
             gap_detail[repr(list(d.probs))] = {
                 "gaps": g, "strictly_decreasing": all(b <= a for a, b in zip(g, g[1:]))}
-    return acc.record(sample_count=len(dists) * len(scales),
+    return acc.record(sample_count=len(dists) * len(hs),
                       details={"gaps": gap_detail})
 
 
@@ -408,7 +436,7 @@ def _limit_at_1(
     value_name: str,
     detail_name: str,
 ) -> CheckRecord:
-    """func at q = 1 +/- 10^-j, j in _LIMIT_SCALES, approaches target from
+    """func at q = 1 +/- h, h in _LIMIT_HS, approaches target from
     both sides.
 
     Pass requires the deviation at the deepest scale below _LIMIT_TOL on both
@@ -417,7 +445,7 @@ def _limit_at_1(
     and side, the deviations when detail_name is "deviations", else the
     values.
     """
-    hs = [10.0 ** (-j) for j in _LIMIT_SCALES]
+    hs = _LIMIT_HS
     details = {}
     with _Residuals(name, [], _LIMIT_TOL) as acc:
         pairs = [(func(1.0 + h), func(1.0 - h)) for h in hs]
@@ -453,6 +481,7 @@ def check_alpha_phi_limit(f: EntropyFamily) -> CheckRecord:
             raise _vanishing_phi(q)
         return alpha_q / phi_q
 
+    _fill(_LIMIT_QS, f.phi, f.alpha)
     return _limit_at_1("alpha_phi_limit", ratio, -f.k, "ratio", "deviations")
 
 
@@ -478,6 +507,7 @@ def check_phi_derivative_at_1(
         h = q - 1.0  # exact for q near 1 (Sterbenz)
         return (phi(q) - phi_1) / h
 
+    _fill(_LIMIT_QS, phi)
     return _limit_at_1(name, quotient, 1.0 / k, "quotient", "quotients")
 
 
@@ -490,6 +520,7 @@ def check_sign_condition(
     The residual is the number of violating grid points, so the record
     stays meaningful when the only violation is an exact zero.
     """
+    _fill(q_grid, f.phi)
     with _Residuals("sign_condition", q_grid, 0.0) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
@@ -512,6 +543,7 @@ def check_constraint_region(
     """
     tol = 1e-12
     per_q = []
+    _fill(q_grid, f.phi, f.alpha)
     with _Residuals("constraint_region", q_grid, tol) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
@@ -550,6 +582,7 @@ def check_convexity_of_I(
     ps[-1] = 1.0
     steps, spans = np.diff(ps), ps[2:] - ps[:-2]
     per_q = []
+    _fill(q_grid, f.phi, f.alpha)
     with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
         for q in q_grid:
             slopes = np.diff(information_content(f, q, ps)) / steps
@@ -580,6 +613,7 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
     corners = [[(1.0 - t) / 3.0 + (t if i == 0 else 0.0) for i in range(3)] for t in ts]
     segment = np.array([[x / math.fsum(p) for x in p] for p in corners])
     slopes = []
+    _fill(qs + [0.5, 2.0], f.phi, f.alpha)
     with _Residuals("continuity_probe", (), 100.0 * f.k) as acc:
         # Each sweep: its grid, S over the grid, and the witness naming a point.
         sweeps = [(qs, [entropies(d_fixed, f, q)[0] for q in qs],
@@ -620,6 +654,8 @@ def derivative_limit_probe(
         return spread <= tol * (1.0 + abs(seq[-1])), spread
 
     details = {"x0": x0}
+    _fill([x for h in hs for s in [h / 64.0]
+           for x in (x0 + h, x0 - h, x0 + h + s, x0 + h - s, x0 - h + s, x0 - h - s)], g)
     with _Residuals(name, (x0,), tol) as acc:
         direct = [(g(x0 + h) - g(x0 - h)) / (2.0 * h) for h in hs]
         nearby_plus = []

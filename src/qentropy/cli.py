@@ -37,8 +37,8 @@ from .simplex import make_distribution
 from .weierstrass import (
     WeierstrassParams,
     difference_quotients,
-    eval_W,
     eval_phi_counterexample,
+    eval_W_array,
     nondifferentiability_probe,
     quotient_spread,
 )
@@ -210,8 +210,8 @@ def cmd_weierstrass(args: argparse.Namespace) -> int:
     else:
         raise InputError("provide --x or --range")
     lines = ["x,W"]
-    for x in xs:
-        lines.append(f"{x!r},{eval_W(params, x)!r}")
+    for x, w in zip(xs, eval_W_array(params, xs).tolist()):
+        lines.append(f"{x!r},{w!r}")
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(xs)} rows to {args.output}")
     return EXIT_OK
@@ -279,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--a", type=float, default=0.5)
     p_w.add_argument("--b", type=int, default=13)
     p_w.add_argument("--eps", type=float, default=1e-12)
-    p_w.add_argument("--x", default=None, help="comma-separated x values")
-    p_w.add_argument("--range", default=None, help="lo:hi:step")
+    points = p_w.add_mutually_exclusive_group()
+    points.add_argument("--x", default=None, help="comma-separated x values")
+    points.add_argument("--range", default=None, help="lo:hi:step")
     p_w.add_argument("--output", default="weierstrass.csv")
     p_w.set_defaults(func=cmd_weierstrass)
 

@@ -16,16 +16,22 @@ power_phi is the sign-correct partner of power_alpha: the pair satisfies
 alpha(q)/phi(q) = -k identically, giving a non-Tsallis family that meets
 the same validity conditions.  Tabulated functions refuse extrapolation so
 a sloppy grid cannot silently corrupt limit checks near q = 1.
+
+Each kind has one evaluator, on an array of q: ``values`` evaluates a
+sequence of q in one call, and a float call is its one-element case, so
+both give the same bits.  The arithmetic is IEEE's, element by element, as
+Python floats would do it: the power kinds raise by libm pow per element,
+because numpy's SIMD power can differ from it in the last bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -34,14 +40,15 @@ from .errors import (
     NonPositiveK,
     OutOfTableRange,
 )
-from .weierstrass import WeierstrassParams, eval_phi_counterexample
+from .weierstrass import WeierstrassParams, eval_phi_counterexample_array
 
 FAMILY_POINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class DeformationFunction:
-    """One deformation function; evaluable for all q > 0 via ``__call__``."""
+    """One deformation function; evaluable for all q > 0 via ``__call__``,
+    and on a sequence of q via ``values``."""
 
     kind: str
     k: float = 1.0
@@ -65,7 +72,29 @@ class DeformationFunction:
 
     def __call__(self, q: float) -> float:
         _check_q(q)
-        return _KINDS[self.kind].evaluate(self, q)
+        return self._evaluate(np.array([q], dtype=np.float64)).item()
+
+    def values(self, qs: Sequence[float] | np.ndarray) -> np.ndarray:
+        """The function at each q of a 1-D sequence, bit for bit the float
+        calls; raises as the float call at the first q it cannot evaluate."""
+        qs = np.asarray(qs, dtype=np.float64).reshape(-1)
+        positive = (qs > 0.0) & (qs < math.inf)
+        if not positive.all():
+            _check_q(qs[positive.argmin()].item())
+        return self._evaluate(qs)
+
+    def defined(self, qs: np.ndarray) -> np.ndarray:
+        """Where on a float64 array of q ``values`` gives a value: q positive
+        and finite, and inside the table of a tabulated function."""
+        inside = (qs > 0.0) & (qs < math.inf)
+        if self.kind == "tabulated":
+            inside &= _in_table(self, qs)
+        return inside
+
+    def _evaluate(self, qs: np.ndarray) -> np.ndarray:
+        # Python float arithmetic raises no warning on inf or nan.
+        with np.errstate(all="ignore"):
+            return _KINDS[self.kind].evaluate(self, qs)
 
     def to_spec(self) -> dict:
         """JSON-able description; the k of scaled kinds lives at family level."""
@@ -84,18 +113,33 @@ def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -
         raise error(f"{label} must be finite, got {q!r}")
 
 
-def _interpolate(f: DeformationFunction, q: float) -> float:
+def _in_table(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
+    return (qs >= f.table[0][0]) & (qs <= f.table[-1][0])
+
+
+def _interpolate(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
+    """Linear interpolation between the knots around each q; the last knot's
+    value at q equal to it.  OutOfTableRange names the first q outside."""
     table = f.table
-    if q < table[0][0] or q > table[-1][0]:
-        raise OutOfTableRange(
-            f"q={q!r} outside tabulated range [{table[0][0]!r}, {table[-1][0]!r}]"
-        )
-    i = bisect_right(table, q, key=itemgetter(0))
-    if i == len(table):
-        return table[-1][1]
-    q0, v0 = table[i - 1]
-    q1, v1 = table[i]
-    return v0 + (v1 - v0) * (q - q0) / (q1 - q0)
+    inside = _in_table(f, qs)
+    if not inside.all():
+        raise OutOfTableRange(f"q={qs[inside.argmin()].item()!r} outside tabulated "
+                              f"range [{table[0][0]!r}, {table[-1][0]!r}]")
+    knots, vals = np.array(table).T
+    i = np.searchsorted(knots, qs, side="right")
+    last = i == len(knots)
+    i[last] = len(knots) - 1
+    q0, v0, q1, v1 = knots[i - 1], vals[i - 1], knots[i], vals[i]
+    out = v0 + (v1 - v0) * (qs - q0) / (q1 - q0)
+    out[last] = vals[-1]
+    return out
+
+
+def _signed_power(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
+    """sign(d) |d|^gamma with d = q - 1, by libm pow per element (Python's
+    float **, which raises OverflowError past the float range)."""
+    d = qs - 1.0
+    return np.copysign([abs(x) ** f.gamma for x in d.tolist()], d)
 
 
 def tsallis_phi(k: float = 1.0) -> DeformationFunction:
@@ -128,10 +172,11 @@ def tabulated(points: Sequence[Sequence[float]]) -> DeformationFunction:
 
 @dataclass(frozen=True)
 class _Kind:
-    """evaluate(f, q) for q > 0; the spec fields besides "kind", in the
-    order the factory takes them; scaled kinds also take the family k."""
+    """evaluate(f, qs) on a float64 array of positive finite q; the spec
+    fields besides "kind", in the order the factory takes them; scaled
+    kinds also take the family k."""
 
-    evaluate: Callable[[DeformationFunction, float], float]
+    evaluate: Callable[[DeformationFunction, np.ndarray], np.ndarray]
     fields: tuple[str, ...]
     scaled: bool
     make: Callable[..., DeformationFunction]
@@ -148,20 +193,18 @@ class _Field:
 
 
 _KINDS = {
-    "tsallis_phi": _Kind(lambda f, q: (q - 1.0) / f.k, (), True, tsallis_phi),
-    "negated_phi": _Kind(lambda f, q: -(q - 1.0), (), False, negated_phi),
+    "tsallis_phi": _Kind(lambda f, qs: (qs - 1.0) / f.k, (), True, tsallis_phi),
+    "negated_phi": _Kind(lambda f, qs: -(qs - 1.0), (), False, negated_phi),
     "one_minus_q_alpha": _Kind(
-        lambda f, q: -(q - 1.0), (), False, one_minus_q_alpha),
+        lambda f, qs: -(qs - 1.0), (), False, one_minus_q_alpha),
     # (1-q)|q-1|^(gamma-1) written as -sign(d)|d|^gamma, which is also well
     # defined at q = 1 for gamma < 1.
     "power_alpha": _Kind(
-        lambda f, q: -math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0),
-        ("gamma",), False, power_alpha),
+        lambda f, qs: -_signed_power(f, qs), ("gamma",), False, power_alpha),
     "power_phi": _Kind(
-        lambda f, q: math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0) / f.k,
-        ("gamma",), True, power_phi),
+        lambda f, qs: _signed_power(f, qs) / f.k, ("gamma",), True, power_phi),
     "weierstrass_phi": _Kind(
-        lambda f, q: eval_phi_counterexample(f.wparams, f.k, q),
+        lambda f, qs: eval_phi_counterexample_array(f.wparams, f.k, qs),
         ("a", "b", "eps"), True,
         lambda a, b, eps, k: weierstrass_phi(WeierstrassParams(a, b, eps), k)),
     "tabulated": _Kind(_interpolate, ("points",), False, tabulated),

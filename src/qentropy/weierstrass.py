@@ -13,13 +13,32 @@ representation long before the tail becomes negligible (b = 13 and K = 40
 means 13^40 ~ 3.6e44), so cos(b^k pi x) must NOT be formed from the product
 b^k * x in floating point: for k above ~13 every digit of the reduced angle
 would be wrong.  Instead we reduce b^k x modulo 2 exactly.  A float x equals
-num / den with den a power of two (float.as_integer_ratio), hence
+num / 2^s with num an integer, in lowest terms, hence
 
-    b^k x mod 2 = (num * b^k mod 2 den) / den
+    b^k x mod 2 = (num * b^k mod 2^(s+1)) / 2^s
 
-which is exact integer arithmetic.  The running residue is updated as
-r <- (r * b) mod 2 den, one multiply per term, and only the final division
-by den rounds (one ulp).  cos then sees an argument in [0, 2) times pi.
+which is exact integer arithmetic, and only the final division rounds (one
+ulp).  cos then sees an argument in [0, 2) times pi.
+
+W is evaluated on arrays of x, one block of points at a time, and a float
+call is the one-element case.  Three routes give the same residues:
+
+- s <= 62, the usual case: the residue is computed in int64.  Because
+  2^(s+1) divides 2^64, the wraparound of int64 multiplication (mod 2^64,
+  in two's complement) leaves the residue mod 2^(s+1) intact, so
+  num * (b^k mod 2^64), masked to its low s + 1 bits, is the exact residue,
+  for a negative num too, and below 2^63 it is a nonnegative int64.  The
+  residue converts to a float with one rounding, and the scaling by 2^-s
+  is exact.  Every x with |x| >= 2^-10 has s <= 62, and so does every
+  q - 1 with q >= 2^-10: all 4,001 points of the CLI's -2:2:0.001 grid and
+  every q of an axiom report.
+- s < 0: x is an even integer, so every residue is 0; so is x = 0.
+- s > 62 (a tiny |x| with a long mantissa, such as a subnormal): Python
+  integers, r <- (r * b) mod 2^(s+1) one term at a time.
+
+The terms a^k cos(pi t) of a point are summed exactly rounded (math.fsum's
+result), so its value depends neither on the block nor on the route that
+reduced it.
 """
 
 from __future__ import annotations
@@ -28,25 +47,34 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import InputError, InvalidWeierstrassParams
+from .simplex import _exact_sums
 
 # Weierstrass's sufficient condition on the product ab.
 AB_LOWER_BOUND = 1.0 + 1.5 * math.pi
+# Points per block of an array evaluation, which bounds its (points x terms)
+# temporaries: a long CLI --range is never reduced all at once.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class WeierstrassParams:
     """Series parameters (a, b) plus the absolute truncation tolerance.
 
-    term_count (series terms K+1 with tail a^(K+1)/(1-a) <= eps) and w0
-    (the truncated W(0)) are derived once, after validation; they take no
-    part in equality, hashing or repr.
+    term_count (series terms K+1 with tail a^(K+1)/(1-a) <= eps), the
+    per-term weights a^k and multipliers b^k mod 2^64, and w0 (the truncated
+    W(0)) are derived once, after validation; they take no part in
+    equality, hashing or repr.
     """
 
     a: float
     b: int
     eps: float = 1e-12
     term_count: int = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
+    powers: np.ndarray = field(init=False, compare=False, repr=False)
     w0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -69,12 +97,21 @@ class WeierstrassParams:
         while tail > self.eps:
             tail *= self.a
             count += 1
+        # a^k as the running product a * a * ... rounds it, term by term.
+        weights = [1.0]
+        for _ in range(count - 1):
+            weights.append(weights[-1] * self.a)
+        for name, values in (("weights", np.array(weights)),
+                             ("powers", np.array([pow(self.b, k, 2**64) for k in range(count)],
+                                                 dtype=np.uint64).view(np.int64))):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "term_count", count)
         object.__setattr__(self, "w0", eval_W(self, 0.0))
 
 
 def _reduced_angles(x: float, b: int, terms: int) -> list[float]:
-    """b^k x mod 2 for k = 0..terms-1, computed exactly (see module docstring)."""
+    """b^k x mod 2 for k = 0..terms-1 in Python integers (see module docstring)."""
     num, den = float(x).as_integer_ratio()
     mod = 2 * den
     r = num % mod
@@ -85,21 +122,65 @@ def _reduced_angles(x: float, b: int, terms: int) -> list[float]:
     return out
 
 
+def _angles(params: WeierstrassParams, xs: np.ndarray) -> np.ndarray:
+    """b^k x mod 2 for each finite x of a 1-D block (rows) and each term k
+    (columns), exactly as _reduced_angles gives them (see module docstring)."""
+    # x = 0 reduces as the even integer 2 does.
+    xs = np.where(xs == 0.0, 2.0, xs)
+    mantissa = np.frexp(xs)[0] * 2.0**53  # an integer, x over a power of two
+    num = mantissa.astype(np.int64)
+    # Lowest terms x = odd * 2^-s: divide out the lowest set bit num & -num;
+    # then x / odd = 2^-s exactly.
+    odd = mantissa / (num & -num)
+    scale = xs / odd
+    odd[scale > 1.0] = 0.0  # s < 0, an even integer: every residue is 0
+    wide = scale < 2.0**-62  # s > 62: Python integers below
+    scale[wide] = 1.0
+    mask = 2 * (1.0 / scale).astype(np.int64) - 1  # 2^(s+1) - 1, all bits for s < 0
+    residues = odd.astype(np.int64)[:, None] * params.powers
+    residues &= mask[:, None]
+    angles = residues.astype(np.float64)
+    angles *= scale[:, None]
+    for i in np.flatnonzero(wide).tolist():
+        angles[i] = _reduced_angles(xs[i].item(), params.b, params.term_count)
+    return angles
+
+
+def _finite(xs) -> np.ndarray:
+    """xs as a 1-D float64 array; InputError names its first non-finite x."""
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise InputError(f"x must be finite, got {xs[finite.argmin()].item()!r}")
+    return xs
+
+
+def _W_sums(params: WeierstrassParams, xs: np.ndarray) -> list[float]:
+    """Truncated W at each point of a 1-D array of finite x, as Python floats."""
+    sums = []
+    for start in range(0, len(xs), _BLOCK):
+        terms = _angles(params, xs[start:start + _BLOCK])
+        terms *= np.pi
+        np.cos(terms, out=terms)
+        terms *= params.weights
+        sums += _exact_sums(terms)
+    return sums
+
+
+def eval_W_array(params: WeierstrassParams, xs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Truncated Weierstrass series at each x of a 1-D sequence, within
+    params.eps of the true W(x); eval_W is its one-element case."""
+    return np.array(_W_sums(params, _finite(xs)))
+
+
 def eval_W(params: WeierstrassParams, x: float) -> float:
     """Truncated Weierstrass series at x, within params.eps of the true W(x)."""
-    if not math.isfinite(x):
-        raise InputError(f"x must be finite, got {x!r}")
-    angles = _reduced_angles(x, params.b, params.term_count)
-    terms = []
-    ak = 1.0
-    for t in angles:
-        terms.append(ak * math.cos(math.pi * t))
-        ak *= params.a
-    return math.fsum(terms)
+    return _W_sums(params, _finite([x]))[0]
 
 
-def eval_phi_counterexample(params: WeierstrassParams, k: float, q: float) -> float:
-    """Deformation function built on W:
+def eval_phi_counterexample_array(params: WeierstrassParams, k: float,
+                                  qs: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Deformation function built on W, at each q of a 1-D sequence:
 
         phi(q) = (q-1)/k * (W(q-1) + 2 W(0)) / (3 W(0)).
 
@@ -109,9 +190,16 @@ def eval_phi_counterexample(params: WeierstrassParams, k: float, q: float) -> fl
     """
     if k <= 0.0:
         raise InputError(f"k must be positive, got {k!r}")
-    h = q - 1.0
+    h = np.asarray(qs, dtype=np.float64).reshape(-1) - 1.0
     w0 = params.w0
-    return (h / k) * ((eval_W(params, h) + 2.0 * w0) / (3.0 * w0))
+    bracket = (eval_W_array(params, h) + 2.0 * w0) / (3.0 * w0)
+    with np.errstate(over="ignore"):  # h / k past the float range is inf, as for floats
+        return (h / k) * bracket
+
+
+def eval_phi_counterexample(params: WeierstrassParams, k: float, q: float) -> float:
+    """eval_phi_counterexample_array at the one point q."""
+    return eval_phi_counterexample_array(params, k, [q]).item()
 
 
 def difference_quotients(

@@ -28,6 +28,7 @@ from qentropy.axioms import (
     check_sign_condition,
     derivative_limit_probe,
     run_full_report,
+    _Memo,
 )
 from qentropy.deformation import (
     DeformationFunction,
@@ -42,7 +43,7 @@ from qentropy.deformation import (
     weierstrass_phi,
 )
 from qentropy.entropy import generalized_entropy
-from qentropy.errors import EvaluationError, InputError
+from qentropy.errors import EvaluationError, InputError, OutOfTableRange
 from qentropy.simplex import Distribution, Refinement, sample_refinement
 from qentropy.weierstrass import WeierstrassParams, eval_W
 
@@ -585,7 +586,10 @@ class TestReportMemo:
         EntropyFamily(tabulated([(0.01, 0.0), (10.0, 0.0)]), one_minus_q_alpha(), 1.0,
                       validated=False),
         EntropyFamily(negated_phi(), one_minus_q_alpha(), 1.0, validated=False),
-    ], ids=["weierstrass", "narrow_table", "flat_phi", "negated_phi"])
+        # phi = 0 at q = 3: PhiVanishes where a check reaches it.
+        EntropyFamily(tabulated([(0.01, -1.0), (1.0, 0.0), (2.0, 1.0), (3.0, -1.0),
+                                 (10.0, -1.0)]), one_minus_q_alpha(), 1.0, validated=False),
+    ], ids=["weierstrass", "narrow_table", "flat_phi", "negated_phi", "phi_crossing_zero"])
     def test_records_equal_direct_checks(self, family):
         cfg = CheckConfig(seed=3)
         report = run_full_report(family, cfg).to_dict()
@@ -596,27 +600,66 @@ class TestReportMemo:
 
     def test_weierstrass_phi_once_per_distinct_q(self, monkeypatch):
         family = weierstrass_family()
-        phi_qs, w_xs = [], []
-        eval_phi = qentropy.deformation.eval_phi_counterexample
-        eval_W = qentropy.weierstrass.eval_W
+        evaluated = {"phi": [], "alpha": []}
+        w_calls = []
+        evaluate, W_sums = DeformationFunction._evaluate, qentropy.weierstrass._W_sums
 
-        def counted_phi(params, k, q):
-            phi_qs.append(q)
-            return eval_phi(params, k, q)
+        def counted(func, qs):
+            evaluated["alpha" if func is family.alpha else "phi"].extend(qs.tolist())
+            return evaluate(func, qs)
 
-        def counted_W(params, x):
-            w_xs.append(x)
-            return eval_W(params, x)
+        def counted_W(params, xs):
+            w_calls.append(len(xs))
+            return W_sums(params, xs)
 
-        monkeypatch.setattr(qentropy.deformation, "eval_phi_counterexample", counted_phi)
-        monkeypatch.setattr(qentropy.weierstrass, "eval_W", counted_W)
+        monkeypatch.setattr(DeformationFunction, "_evaluate", counted)
+        monkeypatch.setattr(qentropy.weierstrass, "_W_sums", counted_W)
         # A second report evaluates again: the memo lives for one call only.
         for _ in range(2):
-            phi_qs.clear()
-            w_xs.clear()
+            for qs in (*evaluated.values(), w_calls):
+                qs.clear()
             run_full_report(family, CheckConfig(seed=3))
-            assert len(phi_qs) == len(set(phi_qs)) == 343
-            assert len(w_xs) == len(phi_qs)
+            for qs in evaluated.values():
+                assert len(qs) == len(set(qs))
+            assert len(evaluated["phi"]) == sum(w_calls) == 343
+            # Each check's q set is one array call.
+            assert len(w_calls) <= 15
+
+    def test_fill_stores_python_floats_under_float_keys(self):
+        memo = _Memo(weierstrass_family().phi)
+        memo.fill([0.5, np.float64(0.75), 2, 0.5, math.nan, -1.0, 1.25])
+        # Only Python float q are filled; the others are left to float calls.
+        assert list(memo.values) == [0.5, 1.25]
+        assert all(type(v) is float for v in memo.values.values())
+        value = memo.values[0.5]
+        memo.func = None  # a stored q is not evaluated again
+        assert memo(0.5) is value
+
+    def test_fill_leaves_out_what_cannot_be_evaluated(self):
+        narrow = _Memo(tabulated([(0.5, -0.5), (2.0, 1.0)]))
+        narrow.fill([0.1, 1.0, 3.0])
+        assert list(narrow.values) == [1.0]
+        with pytest.raises(OutOfTableRange, match=r"^q=3.0 outside tabulated range"):
+            narrow(3.0)
+        overflowing = _Memo(power_family(3.0).phi)
+        overflowing.fill([2.0, 1e200])
+        assert overflowing.values == {}
+        with pytest.raises(OverflowError):
+            overflowing(1e200)
+
+    def test_narrow_table_reasons(self):
+        narrow = EntropyFamily(tabulated([(0.5, -0.5), (2.0, 1.0)]), one_minus_q_alpha(),
+                               1.0, validated=False)
+        report = run_full_report(narrow, CheckConfig(seed=0))
+        reasons = {c.name: c.details["reason"] for c in report.checks
+                   if c.verdict == "not_applicable"}
+        below, above = (f"evaluation failed: q={q} outside tabulated range [0.5, 2.0]"
+                        for q in (0.1, 3.0))
+        assert reasons == {
+            "continuity_probe": below, "maximality": above, "shannon_additivity": above,
+            "generalized_additivity": above, "pseudoadditivity": above,
+            "sign_condition": below, "constraint_region": below, "convexity_of_I": below,
+        }
 
     def test_failing_evaluation_is_not_stored(self, monkeypatch):
         narrow = EntropyFamily(tabulated([(0.5, -0.5), (2.0, 1.0)]), one_minus_q_alpha(),

@@ -170,6 +170,7 @@ def test_bad_q_exits_2(tsallis_file, capsys, argv, q, message):
      "--range must give a finite number of points"),
     (["weierstrass", "--range=0:1:inf"], "--range needs a finite step, got inf"),
     (["weierstrass", "--range=-inf:1:1"], "--range must give a finite number of points"),
+    (["weierstrass", "--x", "0.5,inf,nan"], "x must be finite, got inf"),
     (["axioms", "--family", "TSALLIS", "--dims", "inf"], "--dims must be positive integers"),
     (["axioms", "--family", "TSALLIS", "--dims", "1e400"], "--dims must be positive integers"),
     (["axioms", "--family", "TSALLIS", "--dims", "2,nan"], "--dims must be positive integers"),
@@ -373,6 +374,14 @@ class TestWeierstrassCommand:
 
     def test_requires_x_or_range(self, tmp_path):
         assert main(["weierstrass", "--output", str(tmp_path / "w.csv")]) == 2
+
+    def test_x_and_range_refused_together(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["weierstrass", "--range=0:1:0.25", "--x", "0.5", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "argument --x: not allowed with argument --range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_params_exit_2(self, tmp_path):
         assert main(["weierstrass", "--a", "0.5", "--b", "4", "--x", "0",

@@ -1,8 +1,11 @@
 import json
 import math
+from bisect import bisect_right
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from test_weierstrass import reference_W
 
 from qentropy.deformation import (
     _KINDS,
@@ -68,8 +71,12 @@ class TestKinds:
     def test_every_kind_rejects_bad_q(self, func):
         for q, message in ((0.0, "positive"), (-1.0, "positive"),
                            (math.nan, "positive"), (math.inf, "finite")):
-            with pytest.raises(DomainError, match=f"q must be {message}"):
+            with pytest.raises(DomainError, match=f"q must be {message}, got {q!r}"):
                 func(q)
+            # An array call names its first q that is not positive and finite.
+            with pytest.raises(DomainError, match=f"q must be {message}, got {q!r}"):
+                func.values([1.0, q, -2.0])
+            assert func.defined(np.array([1.0, q])).tolist() == [True, False]
 
     # Every way of building a deformation checks gamma, NaN and inf too, and
     # the parameters its kind needs.
@@ -94,6 +101,71 @@ class TestKinds:
     def test_weierstrass_phi_vanishes_at_one(self):
         phi = weierstrass_phi(WeierstrassParams(0.5, 13), k=1.0)
         assert phi(1.0) == 0.0
+
+
+# The float formula of each kind, as the kinds computed it one q at a time
+# with Python floats: the reference for their array evaluators.
+def _reference_interpolate(f, q):
+    i = bisect_right(f.table, q, key=itemgetter(0))
+    if i == len(f.table):
+        return f.table[-1][1]
+    (q0, v0), (q1, v1) = f.table[i - 1], f.table[i]
+    return v0 + (v1 - v0) * (q - q0) / (q1 - q0)
+
+
+REFERENCE = {
+    "tsallis_phi": lambda f, q: (q - 1.0) / f.k,
+    "negated_phi": lambda f, q: -(q - 1.0),
+    "one_minus_q_alpha": lambda f, q: -(q - 1.0),
+    "power_alpha": lambda f, q: -math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0),
+    "power_phi": lambda f, q: math.copysign(abs(q - 1.0) ** f.gamma, q - 1.0) / f.k,
+    "weierstrass_phi": lambda f, q: ((q - 1.0) / f.k) * (
+        (reference_W(f.wparams, q - 1.0) + 2.0 * f.wparams.w0) / (3.0 * f.wparams.w0)),
+    "tabulated": _reference_interpolate,
+}
+ARRAY_CASES = [
+    tsallis_phi(3.0), negated_phi(), one_minus_q_alpha(),
+    # numpy's SIMD power differs from libm pow in the last bit at these gammas.
+    *(power_alpha(g) for g in (0.25, 0.5, 1.7, 2.0, 3.0)),
+    *(power_phi(g, k=2.0) for g in (0.25, 0.5, 1.7, 2.0, 3.0)),
+    weierstrass_phi(WeierstrassParams(0.5, 13), k=2.0),
+    tabulated([(0.01, -1.0), (0.5, -0.25), (1.0, 0.0), (2.0, 1.0), (3.0, -1.0), (8.0, 5.5)]),
+]
+
+
+class TestArrayEvaluators:
+    def test_cases_cover_every_kind(self):
+        assert {f.kind for f in ARRAY_CASES} == set(_KINDS) == set(REFERENCE)
+
+    @pytest.mark.parametrize("func", ARRAY_CASES, ids=lambda f: f"{f.kind}-{f.gamma}")
+    def test_values_are_the_float_calls_bitwise(self, func):
+        rng = np.random.default_rng(11)
+        qs = rng.uniform(0.01, 8.0, 4000).tolist() + rng.uniform(0.99, 1.01, 500).tolist()
+        qs += [1.0, 1.0 + 1e-15, 1.0 - 1e-15, 0.01, 8.0, 0.5, 3.0, 2.0 - 2.0**-52]
+        if func.kind == "weierstrass_phi":
+            qs = qs[::4]  # the reference is slow
+        want = np.array([REFERENCE[func.kind](func, q) for q in qs])
+        assert func.values(qs).tobytes() == want.tobytes()
+        floats = [func(q) for q in qs[::7]]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == want[::7].tobytes()
+        assert func.defined(np.array(qs)).all()
+
+    def test_tabulated_knots_ends_and_outside(self):
+        f = tabulated([(0.25, -1.0), (1.0, 0.0), (4.0, 2.5)])
+        assert f.values([0.25, 1.0, 4.0, 0.625, 2.5]).tolist() == [-1.0, 0.0, 2.5, -0.5, 1.25]
+        assert f.defined(np.array([0.2, 0.25, 4.0, 4.5])).tolist() == [False, True, True, False]
+        for qs, first in (([1.0, 4.5, 0.1], "4.5"), ([1.0, 0.1, 4.5], "0.1")):
+            with pytest.raises(OutOfTableRange,
+                               match=rf"^q={first} outside tabulated range \[0.25, 4.0\]$"):
+                f.values(qs)
+
+    def test_power_overflow_raises_as_the_float_call(self):
+        f = power_phi(3.0)
+        with pytest.raises(OverflowError):
+            f(1e200)
+        with pytest.raises(OverflowError):
+            f.values([2.0, 1e200])
 
 
 class TestTabulated:

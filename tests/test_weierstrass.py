@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +10,44 @@ from qentropy.weierstrass import (
     AB_LOWER_BOUND,
     WeierstrassParams,
     difference_quotients,
-    eval_W,
     eval_phi_counterexample,
+    eval_phi_counterexample_array,
+    eval_W,
+    eval_W_array,
     nondifferentiability_probe,
     quotient_spread,
 )
 
 P_DEFAULT = WeierstrassParams(0.5, 13, 1e-12)
+
+
+def reference_W(params: WeierstrassParams, x: float) -> float:
+    """W_K(x) from the exact rational x = num / den in Python integers, one
+    math.cos per term and math.fsum: the library's bits, by another route."""
+    num, den = x.as_integer_ratio()
+    r = num % (2 * den)
+    terms, ak = [], 1.0
+    for _ in range(params.term_count):
+        terms.append(ak * math.cos(math.pi * (r / den)))
+        r = r * params.b % (2 * den)
+        ak *= params.a
+    return math.fsum(terms)
+
+
+def _edge_points() -> list[float]:
+    """Points on every reduction route: tiny |x| with a full mantissa and
+    subnormals (Python integers), odd and even integers, |x| >= 2^53 and
+    the ends of the period."""
+    rng = np.random.default_rng(17)
+    tiny = [math.ldexp(1.0 + m, -e) for m, e in
+            zip(rng.random(300).tolist(), rng.integers(11, 1023, 300).tolist())]
+    subnormal = [math.ldexp(m, -1074) for m in rng.integers(1, 2**52, 100).tolist()]
+    integers = [float(n) for n in range(-64, 65)]
+    large = [2.0**53, 2.0**53 + 2.0, 3.0 * 2.0**60, 1e300, sys.float_info.max]
+    ends = [0.0, 2.0 - 2.0**-52, 2.0**-11, 2.0**-11 * (1.0 + 2.0**-52), 2.0**-12 * 1.5,
+            5e-324, 2.0**-1022]
+    points = tiny + subnormal + integers + large + ends
+    return points + [-x for x in points]
 
 
 class TestParams:
@@ -108,8 +140,51 @@ class TestEvalW:
             assert abs(eval_W(P_DEFAULT, x) - eval_W(fine, x)) <= P_DEFAULT.eps
 
     def test_rejects_nonfinite_x(self):
-        with pytest.raises(InputError):
-            eval_W(P_DEFAULT, math.inf)
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InputError, match=f"x must be finite, got {x!r}"):
+                eval_W(P_DEFAULT, x)
+            # The array call names the first non-finite point.
+            with pytest.raises(InputError, match=f"x must be finite, got {x!r}"):
+                eval_W_array(P_DEFAULT, [0.5, x, math.inf])
+
+
+class TestEvalWArray:
+    """eval_W_array reduces in uint64 where it can, and eval_W is its
+    one-element case; both must give reference_W's bits on every target."""
+
+    @pytest.mark.parametrize("name", ["cli_grid", "random", "edges"])
+    def test_bitwise_equal_to_reference(self, name):
+        if name == "cli_grid":
+            xs = [-2.0 + i * 0.001 for i in range(4001)]
+        elif name == "random":
+            xs = np.random.default_rng(5).uniform(-2.0, 2.0, 16_000).tolist()
+        else:
+            xs = _edge_points()
+        want = np.array([reference_W(P_DEFAULT, x) for x in xs])
+        assert eval_W_array(P_DEFAULT, xs).tobytes() == want.tobytes()
+        scalar = np.array([eval_W(P_DEFAULT, x) for x in xs[::37]])
+        assert scalar.tobytes() == want[::37].tobytes()
+
+    @pytest.mark.parametrize("a,b", [(0.3, 21), (0.7, 9), (0.9, 255)])
+    def test_other_params(self, a, b):
+        params = WeierstrassParams(a, b, 1e-13)
+        xs = np.random.default_rng(b).uniform(-3.0, 3.0, 500).tolist() + _edge_points()[:200]
+        want = np.array([reference_W(params, x) for x in xs])
+        assert eval_W_array(params, xs).tobytes() == want.tobytes()
+
+    def test_empty_and_blocks(self):
+        assert eval_W_array(P_DEFAULT, []).shape == (0,)
+        # A range longer than one block equals its points evaluated one by one.
+        xs = np.linspace(-1.0, 1.0, 1001)
+        assert eval_W_array(P_DEFAULT, xs).tolist() == [eval_W(P_DEFAULT, x) for x in xs.tolist()]
+
+    def test_phi_array_is_the_float_calls(self):
+        qs = np.random.default_rng(3).uniform(0.05, 4.0, 300).tolist() + [1.0, 1.0 + 1e-15]
+        for k in (1.0, 2.5):
+            got = eval_phi_counterexample_array(P_DEFAULT, k, qs)
+            assert got.tolist() == [eval_phi_counterexample(P_DEFAULT, k, q) for q in qs]
+        with pytest.raises(InputError, match="k must be positive"):
+            eval_phi_counterexample_array(P_DEFAULT, 0.0, qs)
 
 
 class TestPhiCounterexample:
