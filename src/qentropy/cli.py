@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .axioms import CheckConfig, run_full_report
-from .deformation import _check_q, family_from_spec
+from .deformation import family_from_spec
 from .entropy import generalized_entropy, information_content
-from .errors import EvaluationError, InputError, QentropyError
+from .errors import EvaluationError, InputError, QentropyError, _check_q
 from .simplex import make_distribution
 from .weierstrass import (
     WeierstrassParams,

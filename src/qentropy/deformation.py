@@ -34,11 +34,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DomainError,
     EvaluationError,
     InvalidFamilySpec,
     NonPositiveK,
     OutOfTableRange,
+    _check_q,
 )
 from .weierstrass import WeierstrassParams, eval_phi_counterexample_array
 
@@ -102,15 +102,6 @@ class DeformationFunction:
         for name in _KINDS[self.kind].fields:
             spec[name] = _FIELDS[name].read(self)
         return spec
-
-
-def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
-    """The one positive-and-finite check: q of every kind, every entropy route and the
-    CLI's q flags; k and gamma of every deformation and family, and the CLI's --k."""
-    if not q > 0.0:
-        raise error(f"{label} must be positive, got {q!r}")
-    if q == math.inf:
-        raise error(f"{label} must be finite, got {q!r}")
 
 
 def _in_table(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:

@@ -17,6 +17,9 @@ them once, so each call repeats only the work that depends on q.  One
 element-wise kernel likewise gives information content I_q(p) =
 expm1(alpha(q) ln p) / phi(q), to information_content (a float or an
 array p) and to the trace route, which weights it by p^(1 - alpha(q)).
+For alpha(q) < 0 the trace route splits at p = exp(1/alpha(q)): below it
+the product would underflow, and each term is the equal form
+(p - p^(1 - alpha(q))) / phi(q) instead.
 
 Numerical stability near q = 1: the numerator 1 - sum p^e loses digits to
 cancellation as the exponent e approaches 1, so it is computed as
@@ -129,6 +132,7 @@ def _quotient_sums(P: np.ndarray, log: np.ndarray, outside,
         _require_zeros_allowed(P, outside, 1.0 + off)
     phi_q = _phi_at(f, q)
     terms = log * off
+    terms[outside] = 0.0  # an infinite argument sends expm1 to a slow loop
     np.expm1(terms, out=terms)
     terms *= P
     sums = _row_sums(terms, outside)
@@ -145,13 +149,16 @@ def _quotient_sums(P: np.ndarray, log: np.ndarray, outside,
     return [-total / phi_q for total in sums]
 
 
-def _information(P: np.ndarray, log: np.ndarray, alpha_q: float,
-                 phi_q: float) -> np.ndarray:
+def _information(log: np.ndarray, alpha_q: float, phi_q: float,
+                 outside=None) -> np.ndarray:
     """I_q(p) = expm1(z) / phi(q) with z = alpha(q) ln p, element-wise, q != 1,
-    from log = ln P."""
+    from log = ln p.  The entries at the index outside, which the caller
+    discards, are computed at z = 0: an infinite z sends expm1 to a slow loop."""
     values = log * alpha_q
+    if outside is not None:
+        values[outside] = 0.0
     np.expm1(values, out=values)
-    over = (values == np.inf) & (P > 0.0)  # at p = 0, z = inf: I_q is inf
+    over = values == np.inf
     values /= phi_q
     if over.any():
         # p^alpha > 1.8e308, so the -1 is far below an ulp: divide in logs.
@@ -162,20 +169,37 @@ def _information(P: np.ndarray, log: np.ndarray, alpha_q: float,
 
 def _trace_sums(P: np.ndarray, log: np.ndarray, outside,
                 f: EntropyFamily, q: float) -> list[float]:
-    """sum_i e_q(p_i) I_q(p_i) per row: weight e_q(p) = p^(1 - alpha(q)) times _information."""
+    """sum_i e_q(p_i) I_q(p_i) per row: weight e_q(p) = p^(1 - alpha(q)) times
+    _information.
+
+    For alpha(q) < 0, where z = alpha(q) ln p > 1 (p < exp(1/alpha(q))),
+    p^e = p exp(-z) < p / 2.7: the equal form (p - p^e) / phi(q) has no
+    cancellation, and the product would underflow.  The form that most
+    entries take is computed over the whole array, the other only at its
+    own entries: a long row of small entries at q >= 1.25 (Tsallis) takes
+    the product nowhere, and next to q = 1, where exp(1/alpha(q)) is 0,
+    no entry takes the equal form.
+    """
     alpha_q = f.alpha(q)
     e = 1.0 - alpha_q
     _require_zeros_allowed(P, outside, e)
     phi_q = _phi_at(f, q)
-    terms = _information(P, log, alpha_q, phi_q)
     weight = P ** e
-    terms *= weight
-    if alpha_q < 0.0:
-        # Where z > 1 (p < exp(1/alpha)), p^e = p exp(-z) < p / 2.7: the equal
-        # form (p - p^e) / phi has no cancellation, the product would underflow.
-        large = P < math.exp(1.0 / alpha_q)
-        np.subtract(P, weight, out=weight)
-        np.divide(weight, phi_q, out=terms, where=large)
+    # Where exp(1/alpha(q)) is 0 (alpha(q) >= 0, or next to q = 1) no entry is far.
+    cut = math.exp(1.0 / alpha_q) if alpha_q < 0.0 else 0.0
+    far = P < cut if cut else None  # NaN padding is neither far nor near
+    n_far = 0 if far is None else np.count_nonzero(far)
+    if 2 * n_far <= P.size:
+        terms = _information(log, alpha_q, phi_q, outside)
+        terms *= weight
+        if n_far:
+            terms[far] = (P[far] - weight[far]) / phi_q
+    else:
+        near = P >= cut  # no zero: cut > 0
+        product = _information(log[near], alpha_q, phi_q) * weight[near]
+        terms = np.subtract(P, weight, out=weight)
+        terms /= phi_q
+        terms[near] = product
     sums = _row_sums(terms, outside)
     if not all(map(math.isfinite, sums)):
         raise _term_overflow(q, e)
@@ -253,7 +277,8 @@ def trace_expectation(d: Distribution, f: EntropyFamily, q: float) -> EntropyVal
 
     Evaluated term by term as weight times information content, so it is an
     independent route to the same value as generalized_entropy; the two must
-    agree to ~1e-12 wherever both are defined.
+    agree to ~1e-12 wherever both are defined.  For alpha(q) < 0, a p below
+    exp(1/alpha(q)) takes the equal term (p - p^(1 - alpha(q))) / phi(q).
     """
     return _entropy_of(d, f, q, "trace")
 
@@ -273,7 +298,7 @@ def information_content(f: EntropyFamily, q: float,
         raise DomainError(f"p must be in (0, 1], got {flat[inside.argmin()].item()!r}")
     with np.errstate(all="ignore"):
         log = np.log(flat)
-        values = -f.k * log if q == 1.0 else _information(flat, log, f.alpha(q), _phi_at(f, q))
+        values = -f.k * log if q == 1.0 else _information(log, f.alpha(q), _phi_at(f, q))
     finite = np.isfinite(values)
     if not finite.all():
         i = finite.argmin()

@@ -2,8 +2,11 @@
 
 Two branches matter for the CLI: InputError maps to exit code 2 (bad or
 inconsistent input) and EvaluationError maps to exit code 3 (valid objects
-queried at a point where the result is undefined).
+queried at a point where the result is undefined).  _check_q is the one
+positive-and-finite check of q and k, shared by every module that takes them.
 """
+
+import math
 
 
 class QentropyError(Exception):
@@ -64,3 +67,13 @@ class DomainError(EvaluationError):
 
 class NegativeEntropy(EvaluationError):
     """A family claimed valid produced an entropy below -1e-12."""
+
+
+def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
+    """The one positive-and-finite check: q of every kind, every entropy route and the
+    CLI's q flags; k and gamma of every deformation and family, k of the
+    Weierstrass phi, and the CLI's --k."""
+    if not q > 0.0:
+        raise error(f"{label} must be positive, got {q!r}")
+    if q == math.inf:
+        raise error(f"{label} must be finite, got {q!r}")

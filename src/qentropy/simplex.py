@@ -52,75 +52,103 @@ def _fsum(values: Iterable[float]) -> float:
         return math.inf
 
 
-# Rows this long are summed by error-free extraction (_extracted_sums; Rump,
-# Ogita and Oishi, "Accurate floating-point summation, part I", SIAM J. Sci.
-# Comput. 31(1), 2008), not by math.fsum, which makes a Python float per
-# entry.  Rows are cut into equal segments of at most _BLOCK entries, and a
-# block holds the segments of as many rows as fit in _BLOCK entries.  Let
-# 2^shift >= the segment length.  A level on a segment r with a power of two
+# Rows this long are summed by error-free extraction (Rump, Ogita and Oishi,
+# "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
+# 2008), not by math.fsum, which makes a Python float per entry.  Rows are
+# cut into equal segments of at most _BLOCK entries, and a block holds the
+# segments of as many rows as fit in _BLOCK entries.  Let 2^shift >= the
+# segment length w.  A level on a segment r with a power of two
 # sigma >= 2^shift max|r| takes q = (sigma + r) - sigma: q and r - q are
 # exact for entries of either sign, and the q's are multiples of 2^-53 sigma
 # no larger than 2^-shift sigma, so every partial sum of them is exact and
 # tau = q.sum() is the same in any order, on every SIMD target.  The
-# remainder is at most 2^-53 sigma, so the next level takes sigma
-# 2^(shift - 53).  After _LEVELS levels the row's sum is math.fsum of its
-# taus: exact if the remainder is zero, and also if no remainder within its
-# bound (segment length times largest remainder) can move the rounding
-# (_settled).  A row is left to math.fsum instead if its sigma would
-# overflow (or an entry is not finite), or its rounding is left open: a near
-# tie, or a sum that cancels far below its entries.
+# remainder is at most 2^-53 sigma.
+#
+# One level comes first, and its remainder is summed in floats: in any order
+# that sum is within w^2 2^-53 max|r| of the exact one.  The row's sum is
+# math.fsum of its taus and remainder sums if no error within that bound can
+# move the rounding (_settled); a zero remainder has bound 0.  The rows this
+# leaves open, a near tie or a sum that cancels far below its entries, are
+# extracted again with two levels, the second with sigma 2^(shift - 53), and
+# their remainder is left unsummed, within w max|r|.  What that leaves open
+# goes to math.fsum, as does a row whose sigma would overflow (or with an
+# entry that is not finite).
 _LONG_ROW = 1024
 _BLOCK = 1 << 15
-_LEVELS = 2
 
 
 def _extracted_sums(X: np.ndarray) -> list[float | None]:
     """math.fsum of each row of the 2-D X by extraction levels, bit for bit;
-    None for a row that the levels leave to fsum."""
+    None for a row that the levels leave to fsum.  One level first, then
+    two for the rows that one leaves unsettled."""
+    sums, unsettled = _level_sums(X, 1)
+    if unsettled:
+        for i, s in zip(unsettled, _level_sums(X[unsettled], 2)[0]):
+            sums[i] = s
+    return sums
+
+
+def _level_sums(X: np.ndarray, levels: int) -> tuple[list[float | None], list[int]]:
+    """Each row's sum from one level with its remainder summed, or from two
+    levels with the remainder only bounded; None where the sum is not
+    settled, or sigma or the sum would overflow.  Also the indices of the
+    rows that are None only because _settled left them open."""
     rows, cols = X.shape
     width = -(-cols // -(-cols // _BLOCK))
     height = max(1, _BLOCK // width)
     shift = (width - 1).bit_length()
-    taus = [[] for _ in range(rows)]
-    left = np.zeros(rows)
+    parts = [[] for _ in range(rows)]
+    bounds = [0.0] * rows
     for first in range(0, rows, height):
         stop = min(rows, first + height)
         for start in range(0, cols, width):
-            if (left[first:stop] == math.inf).all():
-                break
             r = X[first:stop, start:start + width]
             top = np.maximum(r.max(axis=1), -r.min(axis=1))
-            stuck = ~(top < 2.0 ** (1022 - shift))
-            if stuck.any():
-                left[first:stop][stuck] = math.inf
-                if stuck.all():
-                    continue
+            fits = top < 2.0 ** (1022 - shift)
+            if not fits.all():
+                stuck = ~fits
+                for i in np.flatnonzero(stuck).tolist():
+                    bounds[first + i] = math.inf
+                if min(bounds[first:stop]) == math.inf:
+                    break
                 r = np.where(stuck[:, None], 0.0, r)
                 top[stuck] = 0.0
             # sigma = 2^(shift + e) with top < 2^e, built from its bits, and
             # large enough that no level's sigma is subnormal, which is slow
             exp = np.maximum((top.view(np.int64) >> 52) + (1 + shift),
-                             (_LEVELS - 1) * (53 - shift) + 1)
+                             (levels - 1) * (53 - shift) + 1)
             sigma = (exp << 52).view(np.float64)[:, None]
-            levels = []
-            for _ in range(_LEVELS):
+            found = []
+            for level in range(levels):
+                if level:
+                    sigma *= 2.0 ** (shift - 53)
                 q = r + sigma
                 q -= sigma
-                levels.append(q.sum(axis=1).tolist())
+                found.append(q.sum(axis=1).tolist())
                 r = np.subtract(r, q, out=q)
-                sigma *= 2.0 ** (shift - 53)
-            left[first:stop] += width * np.abs(r).max(axis=1)
-            for i, level_taus in enumerate(zip(*levels), first):
-                taus[i] += level_taus
-    sums = []
-    # left adds up width * max|r| in floats, which may round low; twice it cannot
-    for parts, bound in zip(taus, left.tolist()):
+            if levels == 1:
+                found.append(r.sum(axis=1).tolist())
+                scale = width * width * 2.0 ** -53
+            else:
+                scale = width
+            top = np.maximum(r.max(axis=1), -r.min(axis=1)).tolist()
+            for i, row_parts, largest in zip(range(first, stop), zip(*found), top):
+                parts[i] += row_parts
+                bounds[i] += largest * scale
+    sums, unsettled = [], []
+    # bounds add up in floats, which may round low; twice the sum cannot
+    for i, (row_parts, bound) in enumerate(zip(parts, bounds)):
         try:
-            t = math.fsum(parts)
-            sums.append(t if not bound or _settled(t, parts, 2.0 * bound) else None)
+            t = math.fsum(row_parts)
         except OverflowError:
-            sums.append(None)
-    return sums
+            bound = math.inf
+        if bound == math.inf:
+            t = None
+        elif bound and not _settled(t, row_parts, 2.0 * bound):
+            t = None
+            unsettled.append(i)
+        sums.append(t)
+    return sums, unsettled
 
 
 def _settled(t: float, parts: list[float], bound: float) -> bool:
@@ -139,10 +167,14 @@ def _exact_sums(X: np.ndarray) -> list[float]:
     overflows it reads inf.  fsum overflows where a partial sum does; on a
     single-signed row that is where the sum itself does.
 
-    Short rows go to math.fsum, long rows to _extracted_sums, and the long
-    rows that it leaves open to math.fsum."""
+    Short rows go to math.fsum, row by row only if one overflows; long rows
+    to _extracted_sums, and the long rows that it leaves open to math.fsum."""
     if X.shape[1] < _LONG_ROW:
-        return [_fsum(memoryview(row)) for row in X]
+        rows = X.tolist()
+        try:
+            return list(map(math.fsum, rows))
+        except OverflowError:
+            return list(map(_fsum, rows))
     return [_fsum(memoryview(row)) if s is None else s
             for s, row in zip(_extracted_sums(X), X)]
 

@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidWeierstrassParams
+from .errors import InputError, InvalidWeierstrassParams, _check_q
 from .simplex import _exact_sums
 
 # Weierstrass's sufficient condition on the product ab.
@@ -188,8 +188,7 @@ def eval_phi_counterexample_array(params: WeierstrassParams, k: float,
     the sign of q-1; phi(1) = 0 exactly since the (q-1) factor is applied
     last.  phi is differentiable only at q = 1, where phi'(1) = 1/k.
     """
-    if k <= 0.0:
-        raise InputError(f"k must be positive, got {k!r}")
+    _check_q(k, "k", InputError)
     h = np.asarray(qs, dtype=np.float64).reshape(-1) - 1.0
     w0 = params.w0
     bracket = (eval_W_array(params, h) + 2.0 * w0) / (3.0 * w0)

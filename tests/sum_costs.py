@@ -1,18 +1,23 @@
 """Print the cost of the exactly rounded row sum, _exact_sums, per call.
 
-One line per input class and row length n in {1024, 10^4, 10^5}: the best of
-five timings of a call, in microseconds, and the same per entry in
-nanoseconds.  The input classes:
+One line per input class and shape: the best of five timings of a call, in
+microseconds, and the same per entry in nanoseconds.  The input classes:
 
+    short     typical rows shorter than 1,024 entries, which go to
+              math.fsum, in batches of the shapes an axiom report sums:
+              240 x 4, 201 x 3 and 60 x 15
     typical   seeded exponential entries with 10% exact zeros, normalized
               to sum to one, as a Distribution's entries or its terms are
     wide      entries m 2^e with e uniform over -1074..1000, far more bits
-              than the extraction levels take off; their remainder is too
-              small to move the rounding
+              than one extraction level takes off; their remainder's sum
+              is too close to exact to move the rounding
     cancel    the wide entries and their negatives, shuffled: the sum is
               zero, so the remainder can move the rounding, and the row
-              goes on to math.fsum, the slowest way through
+              goes on to two levels and then to math.fsum, the slowest way
+              through
     ... x40   40 such rows summed in one call, as the kernel sums a batch
+
+The last three take row lengths n in {1024, 10^4, 10^5}.
 
 Compare the listing with another tree's to see what a change to the sum
 costs, input class by input class; nothing is checked:
@@ -48,12 +53,16 @@ def _cancel(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.permuted(np.concatenate([half, -half], axis=1), axis=1)
 
 
+def _time(label: str, X: np.ndarray) -> None:
+    number = max(1, 2_000_000 // X.size)
+    best = min(timeit.repeat(lambda: _exact_sums(X), number=number, repeat=5)) / number
+    print(f"{label:<22} {best * 1e6:10.1f} us {best * 1e9 / X.size:6.1f} ns/entry")
+
+
+for shape in ((240, 4), (201, 3), (60, 15)):
+    _time(f"short {shape[0]}x{shape[1]}", _typical(np.random.default_rng(shape[0]), shape))
 for n in (1024, 10_000, 100_000):
     for rows in (1, 40):
         for name, make in (("typical", _typical), ("wide", _wide), ("cancel", _cancel)):
-            X = make(np.random.default_rng(n), (rows, n))
-            number = max(1, 2_000_000 // X.size)
-            best = min(timeit.repeat(lambda: _exact_sums(X), number=number, repeat=5)) / number
             label = name if rows == 1 else f"{name} x{rows}"
-            print(f"{label:<12} n={n:<7} {best * 1e6:10.1f} us "
-                  f"{best * 1e9 / X.size:6.1f} ns/entry")
+            _time(f"{label:<12} n={n:<7}", make(np.random.default_rng(n), (rows, n)))

@@ -38,6 +38,7 @@ from qentropy.deformation import (  # noqa: E402
 )
 from qentropy.entropy import (  # noqa: E402
     _row_sums,
+    _stack,
     entropies,
     generalized_entropy,
     information_content,
@@ -280,6 +281,53 @@ def test_permuting_or_appending_zeros_keeps_every_bit(values, zeros, seed, q, ki
             ZeroWithNonpositiveExponent if zero_raises else base), form
 
 
+# Rows at alpha(q) < 0 with entries on both sides of the trace route's cut
+# p = exp(1/alpha(q)), in a majority of either side, an entry at the cut
+# itself, and zero entries.  Where |alpha(q)| < 1/745 (q = 1 + 1e-3 and
+# 1 + 1e-6, but for power(0.5) only the latter), the cut is 0.0 and every
+# entry takes the product.
+_CUT_ROWS = (
+    (0.5, 0.3, 0.2, 0.0),
+    (0.6, 0.1, 0.1, 0.1, 0.1, 0.0),
+    (0.3, 0.3, 0.39, 0.01, 0.0),
+    (math.exp(-1.0), 0.3, 1.0 - math.exp(-1.0) - 0.3),
+    (0.5, 0.5, 0.0, 0.0),
+    (1.0, 0.0),
+)
+
+
+def _per_entry_trace(row, f: EntropyFamily, q: float) -> float:
+    """(p - p^e) / phi below the cut, expm1(alpha ln p) / phi * p^e from it
+    on, each p > 0 on its own and the terms summed by math.fsum.  The ufuncs
+    are numpy's on a one-entry array: its log, expm1 and power may differ
+    from libm's by an ulp."""
+    alpha, phi = f.alpha(q), f.phi(q)
+    e = 1.0 - alpha
+    cut = math.exp(1.0 / alpha)
+    terms = []
+    for p in row:
+        if p > 0.0:
+            a = np.array([p])
+            w = a ** e
+            term = (a - w) / phi if p < cut else np.expm1(np.log(a) * alpha) / phi * w
+            terms.append(term.item())
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("kind", ["tsallis", "power", "weierstrass"])
+@pytest.mark.parametrize("q", [1.25, 2.0, 4.75, 1.0 + 1e-3, 1.0 + 1e-6])
+def test_trace_split_at_the_cut_is_per_entry(kind, q):
+    """The trace route's two forms, each computed over the whole array or
+    only at its own entries, give every entry the form its side of the cut
+    takes, bit for bit: one distribution at a time and in a NaN-padded
+    batch."""
+    f = _family(kind, 0.5, 1.0)
+    assert f.alpha(q) < 0.0
+    want = [_per_entry_trace(row, f, q).hex() for row in _CUT_ROWS]
+    assert [trace_expectation(Distribution(row), f, q).value.hex() for row in _CUT_ROWS] == want
+    assert [v.hex() for v in entropies(_stack(_CUT_ROWS), f, q, "trace")] == want
+
+
 # Row lengths on both sides of the length cut, and ones whose blocks of
 # _BLOCK entries hold 4, 3, 2 or 1 rows, or cut a row into 2 or 3 segments:
 # with up to 5 rows, a batch straddles the block edges.
@@ -339,16 +387,17 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
     assert [None if w is None else g.hex() for g, w in zip(got, want)] == want
 
 
-def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
-    """Rows of 4,096 entries, each with the number of its rows that the
-    extraction levels leave to math.fsum."""
+def _branch_rows() -> dict[str, tuple[np.ndarray, int, int]]:
+    """Rows of 4,096 entries, and one batch of short rows, each with the
+    number of its rows that the one-level pass leaves to the two-level
+    extraction, and the number of rows that go to math.fsum."""
     n = 4096
     rng = np.random.default_rng(15)
 
-    def row(*entries):
-        values = np.zeros(n)
+    def row(*entries, length=n):
+        values = np.zeros(length)
         values[:len(entries)] = entries
-        return values[rng.permutation(n)]
+        return values[rng.permutation(length)]
 
     wide = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1001, n))
     wide[:2] = (5e-324, 2.0**1000)
@@ -356,31 +405,44 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
     cancel = np.concatenate([halves, -halves])[rng.permutation(n)]
     wide_cancel = np.concatenate([wide[:n // 2], -wide[:n // 2]])[rng.permutation(n)]
     typical = rng.standard_exponential(n)
+    p = typical / typical.sum()
     broken_tie = row(1.0, 2.0**-53, 5e-324)
+    short = np.stack([typical[:7], row(1.7e308, 1.7e308, length=7), row(1.0, 2.0**-53, length=7)])
     return {
-        "past the level budget": (wide[None], 0),
-        "no headroom, finite sum": (row(1.7e308, -1.6e308, 1.0, 3.0)[None], 1),
-        "no headroom, overflowing sum": (row(1.7e308, 1.7e308)[None], 1),
-        "tie to even, down": (row(1.0, 2.0**-53)[None], 0),
-        "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 0),
-        "tie broken beyond the levels": (broken_tie[None], 1),
-        "cancels to zero": (cancel[None], 0),
-        "cancels below the levels": (wide_cancel[None], 1),
-        "batch with one open row": (np.stack([typical, broken_tie, wide]), 1),
+        "typical": (typical[None], 0, 0),
+        "past the level budget": (wide[None], 0, 0),
+        "kernel terms": (np.stack([p * np.expm1(0.25 * np.log(p)), p * np.log(p)]), 0, 0),
+        "no headroom, finite sum": (row(1.7e308, -1.6e308, 1.0, 3.0)[None], 0, 1),
+        "no headroom, overflowing sum": (row(1.7e308, 1.7e308)[None], 0, 1),
+        "tie to even, down": (row(1.0, 2.0**-53)[None], 1, 0),
+        "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 1, 0),
+        "tie broken beyond the levels": (broken_tie[None], 1, 1),
+        "cancels to zero": (cancel[None], 1, 0),
+        "cancels below the levels": (wide_cancel[None], 1, 1),
+        "batch with one open row": (np.stack([typical, broken_tie, wide]), 1, 1),
+        "short rows, one overflowing": (short, 0, 3),
     }
 
 
 @pytest.mark.parametrize("name", list(_branch_rows()))
 def test_exact_sum_branches_equal_fsum(name, monkeypatch):
-    """Each branch of the long-row sum gives math.fsum's bits (inf where fsum
-    overflows): rows the extraction levels settle, with a zero remainder or
-    one too small to move the rounding, and rows they leave to math.fsum,
-    the only way a long row reaches it.  A batch gives each row its 1-row
-    value."""
-    X, fallbacks = _branch_rows()[name]
-    calls = []
-    fsum = simplex._fsum
+    """Each branch of the row sum gives math.fsum's bits (inf where fsum
+    overflows): long rows that one extraction level settles, with a zero
+    remainder or one too small to move the rounding; rows that it leaves
+    open and two levels settle; rows left to math.fsum, the only way a long
+    row reaches it; and short rows, which go to math.fsum row by row only
+    when one of them overflows.  A batch gives each row its 1-row value."""
+    X, reextracted, fallbacks = _branch_rows()[name]
+    calls, again = [], []
+    fsum, level_sums = simplex._fsum, simplex._level_sums
     monkeypatch.setattr(simplex, "_fsum", lambda row: calls.append(row) or fsum(row))
+
+    def counted(rows, levels):
+        if levels == 2:
+            again.extend(rows)
+        return level_sums(rows, levels)
+
+    monkeypatch.setattr(simplex, "_level_sums", counted)
     want = []
     for row in X:
         try:
@@ -388,7 +450,8 @@ def test_exact_sum_branches_equal_fsum(name, monkeypatch):
         except OverflowError:
             want.append(math.inf.hex())
     assert [v.hex() for v in simplex._exact_sums(X)] == want
-    assert len(calls) == fallbacks
+    assert (len(again), len(calls)) == (reextracted, fallbacks)
+    monkeypatch.setattr(simplex, "_fsum", fsum)
     assert [simplex._exact_sums(row[None])[0].hex() for row in X] == want
 
 

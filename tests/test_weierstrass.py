@@ -183,8 +183,19 @@ class TestEvalWArray:
         for k in (1.0, 2.5):
             got = eval_phi_counterexample_array(P_DEFAULT, k, qs)
             assert got.tolist() == [eval_phi_counterexample(P_DEFAULT, k, q) for q in qs]
-        with pytest.raises(InputError, match="k must be positive"):
-            eval_phi_counterexample_array(P_DEFAULT, 0.0, qs)
+
+    @pytest.mark.parametrize("k,message", [
+        (math.nan, "k must be positive, got nan"),
+        (math.inf, "k must be finite, got inf"),
+        (0.0, "k must be positive, got 0.0"),
+        (-1.0, "k must be positive, got -1.0"),
+    ])
+    def test_phi_refuses_a_k_that_is_not_positive_and_finite(self, k, message):
+        """NaN and inf are refused like a k <= 0, not evaluated to NaN or 0."""
+        for call in (lambda: eval_phi_counterexample_array(P_DEFAULT, k, [1.5]),
+                     lambda: eval_phi_counterexample(P_DEFAULT, k, 1.5)):
+            with pytest.raises(InputError, match=message):
+                call()
 
 
 class TestPhiCounterexample:
