@@ -80,6 +80,11 @@ class CheckConfig:
     maximality_samples: int = 200
     pseudo_samples: int = 400
 
+    def __post_init__(self) -> None:
+        for name in ("q_grid", "dims"):
+            if not len(getattr(self, name)):
+                raise InputError(f"{name} must not be empty")
+
 
 @dataclass
 class CheckRecord:

@@ -33,9 +33,9 @@ subnormal divisor has lost relative precision.
 
 Conventions: 0^e = 0 for e > 0 (zero-probability outcomes drop out); a zero
 probability with e <= 0 is an error rather than a silently skipped term,
-because the true limit diverges there.  Entropy values in [-1e-12, 0) are
-clamped to 0; values below -1e-12 raise for validated families, since the
-codomain of a valid family is the nonnegative reals.
+because the true limit diverges there.  Entropy values in [-1e-12, 0], -0
+included, are clamped to +0; values below -1e-12 raise for validated
+families, since the codomain of a valid family is the nonnegative reals.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class EntropyValue:
 
 
 def _finish(value: float, q: float, validated: bool) -> float:
-    if -_CLAMP <= value < 0.0:
+    if -_CLAMP <= value <= 0.0:
         value = 0.0
     elif value < -_CLAMP and validated:
         raise NegativeEntropy(
@@ -304,6 +304,7 @@ def information_content(f: EntropyFamily, q: float,
         i = finite.argmin()
         raise EvaluationError(f"I_q(p) at q={q!r}, p={flat[i].item()!r} "
                               f"is not finite ({values[i].item()!r})")
+    values += 0.0  # a zero surprise is +0, never -0
     return values.reshape(np.shape(p)) if np.ndim(p) else values.item()
 
 

@@ -64,39 +64,26 @@ def _fsum(values: Iterable[float]) -> float:
 # tau = q.sum() is the same in any order, on every SIMD target.  The
 # remainder is at most 2^-53 sigma.
 #
-# One level comes first, and its remainder is summed in floats: in any order
+# One level is taken, and its remainder is summed in floats: in any order
 # that sum is within w^2 2^-53 max|r| of the exact one.  The row's sum is
 # math.fsum of its taus and remainder sums if no error within that bound can
 # move the rounding (_settled); a zero remainder has bound 0.  The rows this
-# leaves open, a near tie or a sum that cancels far below its entries, are
-# extracted again with two levels, the second with sigma 2^(shift - 53), and
-# their remainder is left unsummed, within w max|r|.  What that leaves open
-# goes to math.fsum, as does a row whose sigma would overflow (or with an
-# entry that is not finite).
+# leaves open, a near tie or a sum that cancels far below its entries, go to
+# math.fsum, as does a row whose sigma would overflow (or with an entry that
+# is not finite).
 _LONG_ROW = 1024
 _BLOCK = 1 << 15
 
 
 def _extracted_sums(X: np.ndarray) -> list[float | None]:
-    """math.fsum of each row of the 2-D X by extraction levels, bit for bit;
-    None for a row that the levels leave to fsum.  One level first, then
-    two for the rows that one leaves unsettled."""
-    sums, unsettled = _level_sums(X, 1)
-    if unsettled:
-        for i, s in zip(unsettled, _level_sums(X[unsettled], 2)[0]):
-            sums[i] = s
-    return sums
-
-
-def _level_sums(X: np.ndarray, levels: int) -> tuple[list[float | None], list[int]]:
-    """Each row's sum from one level with its remainder summed, or from two
-    levels with the remainder only bounded; None where the sum is not
-    settled, or sigma or the sum would overflow.  Also the indices of the
-    rows that are None only because _settled left them open."""
+    """math.fsum of each row of the 2-D X by one extraction level, bit for
+    bit; None where the level does not settle the sum, or sigma or the sum
+    would overflow."""
     rows, cols = X.shape
     width = -(-cols // -(-cols // _BLOCK))
     height = max(1, _BLOCK // width)
     shift = (width - 1).bit_length()
+    scale = width * width * 2.0 ** -53
     parts = [[] for _ in range(rows)]
     bounds = [0.0] * rows
     for first in range(0, rows, height):
@@ -114,41 +101,29 @@ def _level_sums(X: np.ndarray, levels: int) -> tuple[list[float | None], list[in
                 r = np.where(stuck[:, None], 0.0, r)
                 top[stuck] = 0.0
             # sigma = 2^(shift + e) with top < 2^e, built from its bits, and
-            # large enough that no level's sigma is subnormal, which is slow
-            exp = np.maximum((top.view(np.int64) >> 52) + (1 + shift),
-                             (levels - 1) * (53 - shift) + 1)
+            # never subnormal, which is slow
+            exp = np.maximum((top.view(np.int64) >> 52) + (1 + shift), 1)
             sigma = (exp << 52).view(np.float64)[:, None]
-            found = []
-            for level in range(levels):
-                if level:
-                    sigma *= 2.0 ** (shift - 53)
-                q = r + sigma
-                q -= sigma
-                found.append(q.sum(axis=1).tolist())
-                r = np.subtract(r, q, out=q)
-            if levels == 1:
-                found.append(r.sum(axis=1).tolist())
-                scale = width * width * 2.0 ** -53
-            else:
-                scale = width
+            q = r + sigma
+            q -= sigma
+            taus = q.sum(axis=1).tolist()
+            r = np.subtract(r, q, out=q)
+            rests = r.sum(axis=1).tolist()
             top = np.maximum(r.max(axis=1), -r.min(axis=1)).tolist()
-            for i, row_parts, largest in zip(range(first, stop), zip(*found), top):
-                parts[i] += row_parts
+            for i, tau, rest, largest in zip(range(first, stop), taus, rests, top):
+                parts[i] += tau, rest
                 bounds[i] += largest * scale
-    sums, unsettled = [], []
+    sums = []
     # bounds add up in floats, which may round low; twice the sum cannot
-    for i, (row_parts, bound) in enumerate(zip(parts, bounds)):
+    for row_parts, bound in zip(parts, bounds):
         try:
             t = math.fsum(row_parts)
         except OverflowError:
             bound = math.inf
-        if bound == math.inf:
+        if bound == math.inf or bound and not _settled(t, row_parts, 2.0 * bound):
             t = None
-        elif bound and not _settled(t, row_parts, 2.0 * bound):
-            t = None
-            unsettled.append(i)
         sums.append(t)
-    return sums, unsettled
+    return sums
 
 
 def _settled(t: float, parts: list[float], bound: float) -> bool:

@@ -13,11 +13,15 @@ microseconds, and the same per entry in nanoseconds.  The input classes:
               is too close to exact to move the rounding
     cancel    the wide entries and their negatives, shuffled: the sum is
               zero, so the remainder can move the rounding, and the row
-              goes on to two levels and then to math.fsum, the slowest way
-              through
+              goes on to math.fsum after the extraction level, the slowest
+              way through
+    narrow    entries m 2^e with e uniform over -10..10 and their
+              negatives, shuffled: a sum that cancels to zero with entries
+              whose remainders the level leaves nonzero, so the row also
+              goes on to math.fsum
     ... x40   40 such rows summed in one call, as the kernel sums a batch
 
-The last three take row lengths n in {1024, 10^4, 10^5}.
+The last four take row lengths n in {1024, 10^4, 10^5}.
 
 Compare the listing with another tree's to see what a change to the sum
 costs, input class by input class; nothing is checked:
@@ -44,13 +48,19 @@ def _typical(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def _wide(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    return np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1074, 1000, shape))
+def _wide(rng: np.random.Generator, shape: tuple[int, int],
+          low: int = -1074, high: int = 1000) -> np.ndarray:
+    return np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(low, high, shape))
 
 
-def _cancel(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    half = _wide(rng, (shape[0], shape[1] // 2))
+def _cancel(rng: np.random.Generator, shape: tuple[int, int],
+            low: int = -1074, high: int = 1000) -> np.ndarray:
+    half = _wide(rng, (shape[0], shape[1] // 2), low, high)
     return rng.permuted(np.concatenate([half, -half], axis=1), axis=1)
+
+
+def _narrow(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return _cancel(rng, shape, -10, 11)
 
 
 def _time(label: str, X: np.ndarray) -> None:
@@ -63,6 +73,7 @@ for shape in ((240, 4), (201, 3), (60, 15)):
     _time(f"short {shape[0]}x{shape[1]}", _typical(np.random.default_rng(shape[0]), shape))
 for n in (1024, 10_000, 100_000):
     for rows in (1, 40):
-        for name, make in (("typical", _typical), ("wide", _wide), ("cancel", _cancel)):
+        for name, make in (("typical", _typical), ("wide", _wide), ("cancel", _cancel),
+                           ("narrow", _narrow)):
             label = name if rows == 1 else f"{name} x{rows}"
             _time(f"{label:<12} n={n:<7}", make(np.random.default_rng(n), (rows, n)))

@@ -517,6 +517,13 @@ class TestFullReport:
         b = run_full_report(TSALLIS, CheckConfig(seed=1))
         assert a.to_json() != b.to_json()
 
+    @pytest.mark.parametrize("field", ["q_grid", "dims"])
+    def test_empty_grid_is_refused(self, field):
+        # An empty grid would pass every check vacuously, and maximality's
+        # max_residual would be -inf, which is not valid JSON.
+        with pytest.raises(InputError, match=f"{field} must not be empty"):
+            CheckConfig(**{field: ()})
+
     def test_every_config_field_changes_the_checks(self):
         base = CheckConfig(q_grid=(0.5, 2.0), dims=(2, 3),
                            maximality_samples=20, pseudo_samples=20)

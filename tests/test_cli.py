@@ -126,6 +126,20 @@ class TestEval:
         assert err.startswith("evaluation error:") and "q=2.0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--dist", "[1.0]"],
+    ["eval", "--dist", "[1.0, 0.0]"],
+    ["info-content", "--p", "1"],
+])
+@pytest.mark.parametrize("q", ["0.5", "1", "1.000001", "2"])
+def test_certainty_prints_positive_zero(tsallis_file, capsys, argv, q):
+    # A zero entropy or surprise prints as 0 and serializes as 0.0, never -0.
+    assert main([argv[0], "--family", tsallis_file, "--q", q, *argv[1:]]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main([argv[0], "--family", tsallis_file, "--q", q, *argv[1:], "--json"]) == 0
+    assert '"value": 0.0' in capsys.readouterr().out
+
+
 class TestInfoContent:
     def test_hand_value(self, tsallis_file, capsys):
         rc = main(["info-content", "--family", tsallis_file, "--q", "2",
@@ -250,6 +264,17 @@ class TestAxioms:
         assert rc == 0
         verdicts = {c["name"]: c["verdict"] for c in json.loads(out.read_text())["checks"]}
         assert verdicts["pseudoadditivity"] == "not_applicable"
+
+    @pytest.mark.parametrize("flag,field", [("--q-list", "q_grid"), ("--dims", "dims")])
+    def test_empty_list_exits_2(self, tsallis_file, tmp_path, capsys, flag, field):
+        out = tmp_path / "report.json"
+        rc = main(["axioms", "--family", tsallis_file, f"{flag}=,",
+                   "--samples", "20", "--output", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} must not be empty" in captured.err
+        assert not out.exists()
 
     def test_same_seed_byte_identical_reports(self, tsallis_file, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

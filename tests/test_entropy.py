@@ -196,6 +196,20 @@ def test_entropies_rejects_unknown_form():
         entropies(Distribution((0.5, 0.5)).array[None], TSALLIS, 2.0, "tsallis")
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-6, 2.0])
+@pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0)])
+def test_certainty_is_positive_zero(probs, q):
+    # -0.0 == 0.0, so only the sign bit tells them apart; -0 prints as "-0".
+    d = Distribution(probs)
+    values = [route(d, TSALLIS, q).value
+              for route in (generalized_entropy, suyari_entropy, trace_expectation)]
+    values += [v for form in ("generalized", "suyari", "trace")
+               for v in entropies(np.array([probs]), TSALLIS, q, form)]
+    values += [shannon_entropy(d).value, information_content(TSALLIS, q, 1.0),
+               *information_content(TSALLIS, q, np.array([1.0, 1.0])).tolist()]
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
+
+
 class TestShannonLimit:
     def test_gap_shrinks_linearly_for_tsallis(self):
         # Gap ~ h * sum p ln^2 p / 2; measure the constant at j=3 and allow

@@ -387,10 +387,9 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
     assert [None if w is None else g.hex() for g, w in zip(got, want)] == want
 
 
-def _branch_rows() -> dict[str, tuple[np.ndarray, int, int]]:
+def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
     """Rows of 4,096 entries, and one batch of short rows, each with the
-    number of its rows that the one-level pass leaves to the two-level
-    extraction, and the number of rows that go to math.fsum."""
+    number of its rows that go to math.fsum."""
     n = 4096
     rng = np.random.default_rng(15)
 
@@ -409,40 +408,34 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int, int]]:
     broken_tie = row(1.0, 2.0**-53, 5e-324)
     short = np.stack([typical[:7], row(1.7e308, 1.7e308, length=7), row(1.0, 2.0**-53, length=7)])
     return {
-        "typical": (typical[None], 0, 0),
-        "past the level budget": (wide[None], 0, 0),
-        "kernel terms": (np.stack([p * np.expm1(0.25 * np.log(p)), p * np.log(p)]), 0, 0),
-        "no headroom, finite sum": (row(1.7e308, -1.6e308, 1.0, 3.0)[None], 0, 1),
-        "no headroom, overflowing sum": (row(1.7e308, 1.7e308)[None], 0, 1),
-        "tie to even, down": (row(1.0, 2.0**-53)[None], 1, 0),
-        "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 1, 0),
-        "tie broken beyond the levels": (broken_tie[None], 1, 1),
-        "cancels to zero": (cancel[None], 1, 0),
-        "cancels below the levels": (wide_cancel[None], 1, 1),
-        "batch with one open row": (np.stack([typical, broken_tie, wide]), 1, 1),
-        "short rows, one overflowing": (short, 0, 3),
+        "typical": (typical[None], 0),
+        "past the level budget": (wide[None], 0),
+        "kernel terms": (np.stack([p * np.expm1(0.25 * np.log(p)), p * np.log(p)]), 0),
+        "no headroom, finite sum": (row(1.7e308, -1.6e308, 1.0, 3.0)[None], 1),
+        "no headroom, overflowing sum": (row(1.7e308, 1.7e308)[None], 1),
+        "tie to even, down": (row(1.0, 2.0**-53)[None], 1),
+        "tie to even, up": (row(1.0 + 2.0**-52, 2.0**-53)[None], 1),
+        "tie broken beyond the levels": (broken_tie[None], 1),
+        "cancels to zero": (cancel[None], 1),
+        "cancels below the levels": (wide_cancel[None], 1),
+        "batch with one open row": (np.stack([typical, broken_tie, wide]), 1),
+        "short rows, one overflowing": (short, 3),
     }
 
 
 @pytest.mark.parametrize("name", list(_branch_rows()))
 def test_exact_sum_branches_equal_fsum(name, monkeypatch):
     """Each branch of the row sum gives math.fsum's bits (inf where fsum
-    overflows): long rows that one extraction level settles, with a zero
+    overflows): long rows that the extraction level settles, with a zero
     remainder or one too small to move the rounding; rows that it leaves
-    open and two levels settle; rows left to math.fsum, the only way a long
-    row reaches it; and short rows, which go to math.fsum row by row only
-    when one of them overflows.  A batch gives each row its 1-row value."""
-    X, reextracted, fallbacks = _branch_rows()[name]
-    calls, again = [], []
-    fsum, level_sums = simplex._fsum, simplex._level_sums
+    open, a near tie or a cancelling sum, or whose sigma would overflow,
+    which go to math.fsum, the only way a long row reaches it; and short
+    rows, which go to math.fsum row by row only when one of them overflows.
+    A batch gives each row its 1-row value."""
+    X, fallbacks = _branch_rows()[name]
+    calls = []
+    fsum = simplex._fsum
     monkeypatch.setattr(simplex, "_fsum", lambda row: calls.append(row) or fsum(row))
-
-    def counted(rows, levels):
-        if levels == 2:
-            again.extend(rows)
-        return level_sums(rows, levels)
-
-    monkeypatch.setattr(simplex, "_level_sums", counted)
     want = []
     for row in X:
         try:
@@ -450,7 +443,7 @@ def test_exact_sum_branches_equal_fsum(name, monkeypatch):
         except OverflowError:
             want.append(math.inf.hex())
     assert [v.hex() for v in simplex._exact_sums(X)] == want
-    assert (len(again), len(calls)) == (reextracted, fallbacks)
+    assert len(calls) == fallbacks
     monkeypatch.setattr(simplex, "_fsum", fsum)
     assert [simplex._exact_sums(row[None])[0].hex() for row in X] == want
 
