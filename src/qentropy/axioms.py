@@ -33,7 +33,7 @@ from .entropy import (
     information_content,
     pseudoadditive_compose,
 )
-from .errors import EvaluationError, InputError, QentropyError
+from .errors import EvaluationError, InputError, QentropyError, _check_q
 from .simplex import (
     Distribution,
     Refinement,
@@ -84,6 +84,14 @@ class CheckConfig:
         for name in ("q_grid", "dims"):
             if not len(getattr(self, name)):
                 raise InputError(f"{name} must not be empty")
+        for q in self.q_grid:
+            _check_q(q, "q_grid", InputError)
+        for name, counts in (("dims", self.dims),
+                             ("maximality_samples", (self.maximality_samples,)),
+                             ("pseudo_samples", (self.pseudo_samples,))):
+            for n in counts:
+                if not (isinstance(n, (int, np.integer)) and n >= 1):
+                    raise InputError(f"{name}: {n!r} is not an integer >= 1")
 
 
 @dataclass
@@ -208,19 +216,17 @@ class _Memo:
 
     def fill(self, qs: Sequence[float]) -> None:
         """Store the function at the float q of qs not yet stored, from one
-        array call.  Never raises: a q the function cannot evaluate is left
-        out, so the float call at that q's place raises as it would
-        unfilled, and a power that overflows leaves the whole set out."""
-        new = np.array([q for q in dict.fromkeys(qs)
-                        if type(q) is float and q not in self.values])
-        new = new[self.func.defined(new)]
-        if not len(new):
+        array call.  Never raises: if that call raises, nothing is stored,
+        so the float calls evaluate the set q by q and raise where they
+        raise unfilled."""
+        new = [q for q in dict.fromkeys(qs) if type(q) is float and q not in self.values]
+        if not new:
             return
         try:
             values = self.func.values(new)
-        except OverflowError:
+        except (QentropyError, OverflowError):
             return
-        self.values.update(zip(new.tolist(), values.tolist()))
+        self.values.update(zip(new, values.tolist()))
 
 
 def _fill(qs: Sequence[float], *funcs: Callable[[float], float]) -> None:

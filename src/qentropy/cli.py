@@ -38,7 +38,7 @@ from .weierstrass import (
     WeierstrassParams,
     difference_quotients,
     eval_phi_counterexample,
-    eval_W_array,
+    eval_W,
     nondifferentiability_probe,
     quotient_spread,
 )
@@ -198,6 +198,10 @@ def _parse_range(text: str) -> list[float]:
     if not math.isfinite(step):  # the only point would be lo + 0 * inf = nan
         raise InputError(f"--range needs a finite step, got {step!r}")
     count = int(math.floor(steps + 0.5)) + 1
+    # The nearest count may add one point past hi; it stays only within the
+    # rounding of lo, hi and step.
+    if lo + (count - 1) * step > hi + 8 * sys.float_info.epsilon * max(abs(lo), abs(hi)):
+        count -= 1
     return [lo + i * step for i in range(count)]
 
 
@@ -210,7 +214,7 @@ def cmd_weierstrass(args: argparse.Namespace) -> int:
     else:
         raise InputError("provide --x or --range")
     lines = ["x,W"]
-    for x, w in zip(xs, eval_W_array(params, xs).tolist()):
+    for x, w in zip(xs, eval_W(params, xs).tolist()):
         lines.append(f"{x!r},{w!r}")
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(xs)} rows to {args.output}")

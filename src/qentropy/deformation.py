@@ -40,7 +40,7 @@ from .errors import (
     OutOfTableRange,
     _check_q,
 )
-from .weierstrass import WeierstrassParams, eval_phi_counterexample_array
+from .weierstrass import WeierstrassParams, eval_phi_counterexample
 
 FAMILY_POINT_TOL = 1e-12
 
@@ -66,6 +66,9 @@ class DeformationFunction:
         if self.kind == "tabulated":
             if len(self.table or ()) < 2:
                 raise InvalidFamilySpec("tabulated function needs at least 2 points")
+            for point in self.table:
+                if not all(map(math.isfinite, point)):
+                    raise InvalidFamilySpec(f"tabulated points must be finite, got {point!r}")
             for (q0, _), (q1, _) in zip(self.table, self.table[1:]):
                 if not q1 > q0:
                     raise InvalidFamilySpec("tabulated q grid must be strictly increasing")
@@ -83,14 +86,6 @@ class DeformationFunction:
             _check_q(qs[positive.argmin()].item())
         return self._evaluate(qs)
 
-    def defined(self, qs: np.ndarray) -> np.ndarray:
-        """Where on a float64 array of q ``values`` gives a value: q positive
-        and finite, and inside the table of a tabulated function."""
-        inside = (qs > 0.0) & (qs < math.inf)
-        if self.kind == "tabulated":
-            inside &= _in_table(self, qs)
-        return inside
-
     def _evaluate(self, qs: np.ndarray) -> np.ndarray:
         # Python float arithmetic raises no warning on inf or nan.
         with np.errstate(all="ignore"):
@@ -104,15 +99,11 @@ class DeformationFunction:
         return spec
 
 
-def _in_table(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
-    return (qs >= f.table[0][0]) & (qs <= f.table[-1][0])
-
-
 def _interpolate(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
     """Linear interpolation between the knots around each q; the last knot's
     value at q equal to it.  OutOfTableRange names the first q outside."""
     table = f.table
-    inside = _in_table(f, qs)
+    inside = (qs >= table[0][0]) & (qs <= table[-1][0])
     if not inside.all():
         raise OutOfTableRange(f"q={qs[inside.argmin()].item()!r} outside tabulated "
                               f"range [{table[0][0]!r}, {table[-1][0]!r}]")
@@ -195,7 +186,7 @@ _KINDS = {
     "power_phi": _Kind(
         lambda f, qs: _signed_power(f, qs) / f.k, ("gamma",), True, power_phi),
     "weierstrass_phi": _Kind(
-        lambda f, qs: eval_phi_counterexample_array(f.wparams, f.k, qs),
+        lambda f, qs: eval_phi_counterexample(f.wparams, f.k, qs),
         ("a", "b", "eps"), True,
         lambda a, b, eps, k: weierstrass_phi(WeierstrassParams(a, b, eps), k)),
     "tabulated": _Kind(_interpolate, ("points",), False, tabulated),

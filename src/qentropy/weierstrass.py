@@ -167,20 +167,17 @@ def _W_sums(params: WeierstrassParams, xs: np.ndarray) -> list[float]:
     return sums
 
 
-def eval_W_array(params: WeierstrassParams, xs: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Truncated Weierstrass series at each x of a 1-D sequence, within
-    params.eps of the true W(x); eval_W is its one-element case."""
-    return np.array(_W_sums(params, _finite(xs)))
+def eval_W(params: WeierstrassParams,
+           x: float | Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Truncated Weierstrass series at x, within params.eps of the true W(x).
+    A float x gives a float, a sequence or array an array of its shape."""
+    sums = _W_sums(params, _finite(x))
+    return np.array(sums).reshape(np.shape(x)) if np.ndim(x) else sums[0]
 
 
-def eval_W(params: WeierstrassParams, x: float) -> float:
-    """Truncated Weierstrass series at x, within params.eps of the true W(x)."""
-    return _W_sums(params, _finite([x]))[0]
-
-
-def eval_phi_counterexample_array(params: WeierstrassParams, k: float,
-                                  qs: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Deformation function built on W, at each q of a 1-D sequence:
+def eval_phi_counterexample(params: WeierstrassParams, k: float,
+                            q: float | Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Deformation function built on W, at q (a float, or each q of an array):
 
         phi(q) = (q-1)/k * (W(q-1) + 2 W(0)) / (3 W(0)).
 
@@ -189,16 +186,12 @@ def eval_phi_counterexample_array(params: WeierstrassParams, k: float,
     last.  phi is differentiable only at q = 1, where phi'(1) = 1/k.
     """
     _check_q(k, "k", InputError)
-    h = np.asarray(qs, dtype=np.float64).reshape(-1) - 1.0
+    h = np.asarray(q, dtype=np.float64) - 1.0
     w0 = params.w0
-    bracket = (eval_W_array(params, h) + 2.0 * w0) / (3.0 * w0)
+    bracket = (eval_W(params, h) + 2.0 * w0) / (3.0 * w0)
     with np.errstate(over="ignore"):  # h / k past the float range is inf, as for floats
-        return (h / k) * bracket
-
-
-def eval_phi_counterexample(params: WeierstrassParams, k: float, q: float) -> float:
-    """eval_phi_counterexample_array at the one point q."""
-    return eval_phi_counterexample_array(params, k, [q]).item()
+        phi = (h / k) * bracket
+    return phi if np.ndim(q) else phi.item()
 
 
 def difference_quotients(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -43,7 +44,7 @@ from qentropy.deformation import (
     weierstrass_phi,
 )
 from qentropy.entropy import generalized_entropy
-from qentropy.errors import EvaluationError, InputError, OutOfTableRange
+from qentropy.errors import DomainError, EvaluationError, InputError, OutOfTableRange
 from qentropy.simplex import Distribution, Refinement, sample_refinement
 from qentropy.weierstrass import WeierstrassParams, eval_W
 
@@ -524,6 +525,24 @@ class TestFullReport:
         with pytest.raises(InputError, match=f"{field} must not be empty"):
             CheckConfig(**{field: ()})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("q_grid", (0.5, -1.0), "q_grid must be positive, got -1.0"),
+        ("q_grid", (math.nan,), "q_grid must be positive, got nan"),
+        ("q_grid", (2.0, math.inf), "q_grid must be finite, got inf"),
+        ("dims", (0,), "dims: 0 is not an integer >= 1"),
+        ("dims", (2, 2.5), "dims: 2.5 is not an integer >= 1"),
+        ("maximality_samples", 0, "maximality_samples: 0 is not an integer >= 1"),
+        ("pseudo_samples", 0, "pseudo_samples: 0 is not an integer >= 1"),
+        ("pseudo_samples", -1, "pseudo_samples: -1 is not an integer >= 1"),
+        ("pseudo_samples", 2.0, "pseudo_samples: 2.0 is not an integer >= 1"),
+    ])
+    def test_config_the_checks_cannot_run_is_refused(self, field, value, message):
+        # Unrefused, these passed checks on no samples, gave an all_pass
+        # report of not_applicable checks, or raised ZeroDivisionError,
+        # TypeError or numpy's ValueError from inside a check.
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            CheckConfig(**{field: value})
+
     def test_every_config_field_changes_the_checks(self):
         base = CheckConfig(q_grid=(0.5, 2.0), dims=(2, 3),
                            maximality_samples=20, pseudo_samples=20)
@@ -634,7 +653,7 @@ class TestReportMemo:
 
     def test_fill_stores_python_floats_under_float_keys(self):
         memo = _Memo(weierstrass_family().phi)
-        memo.fill([0.5, np.float64(0.75), 2, 0.5, math.nan, -1.0, 1.25])
+        memo.fill([0.5, np.float64(0.75), 2, 0.5, 1.25])
         # Only Python float q are filled; the others are left to float calls.
         assert list(memo.values) == [0.5, 1.25]
         assert all(type(v) is float for v in memo.values.values())
@@ -643,9 +662,18 @@ class TestReportMemo:
         assert memo(0.5) is value
 
     def test_fill_leaves_out_what_cannot_be_evaluated(self):
+        # A set with a q the function cannot evaluate is stored not at all:
+        # each float call evaluates its q, and raises as it would unfilled.
+        invalid = _Memo(weierstrass_family().phi)
+        invalid.fill([0.5, math.nan, -1.0, 1.25])
+        assert invalid.values == {}
+        assert invalid(0.5) == invalid.func(0.5)
+        with pytest.raises(DomainError, match=r"^q must be positive, got nan$"):
+            invalid(math.nan)
         narrow = _Memo(tabulated([(0.5, -0.5), (2.0, 1.0)]))
         narrow.fill([0.1, 1.0, 3.0])
-        assert list(narrow.values) == [1.0]
+        assert narrow.values == {}
+        assert narrow(1.0) == narrow.func(1.0)
         with pytest.raises(OutOfTableRange, match=r"^q=3.0 outside tabulated range"):
             narrow(3.0)
         overflowing = _Memo(power_family(3.0).phi)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,22 @@ class TestEval:
         assert rc == 3
         assert "evaluation error" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("points", [
+        [[0.01, math.nan], [1.0, 0.0], [10.0, 1.0]],
+        [[0.01, -1.0], [1.0, 0.0], [10.0, math.inf]],
+    ])
+    def test_nonfinite_tabulated_point_exits_2(self, tmp_path, capsys, points):
+        # Unrefused, q = 5 printed nan, or 0 where phi is inf, and exited 0.
+        spec = {"phi": {"kind": "tabulated", "points": points},
+                "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0, "validate": False}
+        fam = tmp_path / "nonfinite.json"
+        fam.write_text(json.dumps(spec))
+        rc = main(["eval", "--family", str(fam), "--q", "5", "--dist", "[0.5,0.5]"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tabulated points must be finite" in captured.err
 
     def test_overflowing_term_exits_3(self, tmp_path, capsys):
         spec = {
@@ -396,6 +413,18 @@ class TestWeierstrassCommand:
         for line in lines[1:]:
             _, w = line.split(",")
             assert abs(float(w)) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("text,xs", [
+        ("0:1:0.4", ["0.0", "0.4", "0.8"]),
+        ("0:0.25:0.1", ["0.0", "0.1", "0.2"]),
+        ("0:2.999999999:1", ["0.0", "1.0", "2.0"]),
+        # A last point past hi only by the rounding of the grid stays.
+        ("0:0.3:0.1", ["0.0", "0.1", "0.2", "0.30000000000000004"]),
+    ])
+    def test_range_stops_at_hi(self, tmp_path, text, xs):
+        out = tmp_path / "w.csv"
+        assert main(["weierstrass", f"--range={text}", "--output", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == xs
 
     def test_requires_x_or_range(self, tmp_path):
         assert main(["weierstrass", "--output", str(tmp_path / "w.csv")]) == 2

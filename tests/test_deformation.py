@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from bisect import bisect_right
 from operator import itemgetter
 
@@ -76,7 +77,6 @@ class TestKinds:
             # An array call names its first q that is not positive and finite.
             with pytest.raises(DomainError, match=f"q must be {message}, got {q!r}"):
                 func.values([1.0, q, -2.0])
-            assert func.defined(np.array([1.0, q])).tolist() == [True, False]
 
     # Every way of building a deformation checks gamma, NaN and inf too, and
     # the parameters its kind needs.
@@ -149,12 +149,10 @@ class TestArrayEvaluators:
         floats = [func(q) for q in qs[::7]]
         assert all(type(v) is float for v in floats)
         assert np.array(floats).tobytes() == want[::7].tobytes()
-        assert func.defined(np.array(qs)).all()
 
     def test_tabulated_knots_ends_and_outside(self):
         f = tabulated([(0.25, -1.0), (1.0, 0.0), (4.0, 2.5)])
         assert f.values([0.25, 1.0, 4.0, 0.625, 2.5]).tolist() == [-1.0, 0.0, 2.5, -0.5, 1.25]
-        assert f.defined(np.array([0.2, 0.25, 4.0, 4.5])).tolist() == [False, True, True, False]
         for qs, first in (([1.0, 4.5, 0.1], "4.5"), ([1.0, 0.1, 4.5], "0.1")):
             with pytest.raises(OutOfTableRange,
                                match=rf"^q={first} outside tabulated range \[0.25, 4.0\]$"):
@@ -189,6 +187,28 @@ class TestTabulated:
     def test_needs_increasing_grid(self):
         with pytest.raises(InvalidFamilySpec):
             tabulated([(1.0, 0.0), (1.0, 1.0)])
+
+    # A NaN or infinite knot would evaluate to nan, or to 0 through an
+    # infinite phi, without an error.
+    @pytest.mark.parametrize("build,point", [
+        (lambda: tabulated([(0.01, math.nan), (1.0, 0.0), (10.0, 1.0)]), "(0.01, nan)"),
+        (lambda: tabulated([(0.01, -1.0), (1.0, 0.0), (math.inf, 1.0)]), "(inf, 1.0)"),
+        (lambda: DeformationFunction("tabulated", table=((math.nan, -1.0), (1.0, 0.0))),
+         "(nan, -1.0)"),
+        (lambda: family_from_spec(json.loads(
+            '{"phi": {"kind": "tabulated", "points": [[0.01, NaN], [1.0, 0.0], [10.0, 1.0]]},'
+            ' "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0, "validate": false}')),
+         "(0.01, nan)"),
+        (lambda: family_from_spec(json.loads(
+            '{"phi": {"kind": "tabulated",'
+            ' "points": [[0.01, -1.0], [1.0, 0.0], [10.0, Infinity]]},'
+            ' "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0, "validate": false}')),
+         "(10.0, inf)"),
+    ])
+    def test_refuses_nonfinite_points(self, build, point):
+        with pytest.raises(InvalidFamilySpec,
+                           match=re.escape(f"tabulated points must be finite, got {point}")):
+            build()
 
 
 class TestTsallisFamily:

@@ -11,9 +11,7 @@ from qentropy.weierstrass import (
     WeierstrassParams,
     difference_quotients,
     eval_phi_counterexample,
-    eval_phi_counterexample_array,
     eval_W,
-    eval_W_array,
     nondifferentiability_probe,
     quotient_spread,
 )
@@ -145,12 +143,12 @@ class TestEvalW:
                 eval_W(P_DEFAULT, x)
             # The array call names the first non-finite point.
             with pytest.raises(InputError, match=f"x must be finite, got {x!r}"):
-                eval_W_array(P_DEFAULT, [0.5, x, math.inf])
+                eval_W(P_DEFAULT, [0.5, x, math.inf])
 
 
 class TestEvalWArray:
-    """eval_W_array reduces in uint64 where it can, and eval_W is its
-    one-element case; both must give reference_W's bits on every target."""
+    """eval_W on an array reduces in uint64 where it can, and a float call is
+    its one-element case; both must give reference_W's bits on every target."""
 
     @pytest.mark.parametrize("name", ["cli_grid", "random", "edges"])
     def test_bitwise_equal_to_reference(self, name):
@@ -161,7 +159,7 @@ class TestEvalWArray:
         else:
             xs = _edge_points()
         want = np.array([reference_W(P_DEFAULT, x) for x in xs])
-        assert eval_W_array(P_DEFAULT, xs).tobytes() == want.tobytes()
+        assert eval_W(P_DEFAULT, xs).tobytes() == want.tobytes()
         scalar = np.array([eval_W(P_DEFAULT, x) for x in xs[::37]])
         assert scalar.tobytes() == want[::37].tobytes()
 
@@ -170,18 +168,28 @@ class TestEvalWArray:
         params = WeierstrassParams(a, b, 1e-13)
         xs = np.random.default_rng(b).uniform(-3.0, 3.0, 500).tolist() + _edge_points()[:200]
         want = np.array([reference_W(params, x) for x in xs])
-        assert eval_W_array(params, xs).tobytes() == want.tobytes()
+        assert eval_W(params, xs).tobytes() == want.tobytes()
 
     def test_empty_and_blocks(self):
-        assert eval_W_array(P_DEFAULT, []).shape == (0,)
+        assert eval_W(P_DEFAULT, []).shape == (0,)
         # A range longer than one block equals its points evaluated one by one.
         xs = np.linspace(-1.0, 1.0, 1001)
-        assert eval_W_array(P_DEFAULT, xs).tolist() == [eval_W(P_DEFAULT, x) for x in xs.tolist()]
+        assert eval_W(P_DEFAULT, xs).tolist() == [eval_W(P_DEFAULT, x) for x in xs.tolist()]
+
+    def test_float_gives_float_and_array_its_shape(self):
+        grid = np.array([[0.25, -0.5], [1.0, 1.75]])
+        phi = lambda params, q: eval_phi_counterexample(params, 2.0, q)  # noqa: E731
+        for call, x in ((eval_W, grid), (phi, grid + 1.0)):
+            got = call(P_DEFAULT, x)
+            assert got.shape == (2, 2)
+            assert got.ravel().tolist() == [call(P_DEFAULT, v) for v in x.ravel().tolist()]
+            assert type(call(P_DEFAULT, 0.25)) is float
+            assert type(call(P_DEFAULT, np.float64(1.25))) is float
 
     def test_phi_array_is_the_float_calls(self):
         qs = np.random.default_rng(3).uniform(0.05, 4.0, 300).tolist() + [1.0, 1.0 + 1e-15]
         for k in (1.0, 2.5):
-            got = eval_phi_counterexample_array(P_DEFAULT, k, qs)
+            got = eval_phi_counterexample(P_DEFAULT, k, qs)
             assert got.tolist() == [eval_phi_counterexample(P_DEFAULT, k, q) for q in qs]
 
     @pytest.mark.parametrize("k,message", [
@@ -192,7 +200,7 @@ class TestEvalWArray:
     ])
     def test_phi_refuses_a_k_that_is_not_positive_and_finite(self, k, message):
         """NaN and inf are refused like a k <= 0, not evaluated to NaN or 0."""
-        for call in (lambda: eval_phi_counterexample_array(P_DEFAULT, k, [1.5]),
+        for call in (lambda: eval_phi_counterexample(P_DEFAULT, k, [1.5]),
                      lambda: eval_phi_counterexample(P_DEFAULT, k, 1.5)):
             with pytest.raises(InputError, match=message):
                 call()
