@@ -32,7 +32,7 @@ from typing import Sequence
 from .axioms import CheckConfig, run_full_report
 from .deformation import family_from_spec
 from .entropy import generalized_entropy, information_content
-from .errors import EvaluationError, InputError, QentropyError, _check_q
+from .errors import EvaluationError, InputError, QentropyError, _check_k, _check_q
 from .simplex import make_distribution
 from .weierstrass import (
     WeierstrassParams,
@@ -158,7 +158,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    _check_q(args.k, "--k", InputError)
+    _check_k(args.k, "--k", InputError)
     if args.depth < 2:
         raise InputError("--depth must be >= 2")
     params = WeierstrassParams(args.a, args.b, args.eps)

@@ -35,9 +35,11 @@ import numpy as np
 
 from .errors import (
     EvaluationError,
+    InputError,
     InvalidFamilySpec,
     NonPositiveK,
     OutOfTableRange,
+    _check_k,
     _check_q,
 )
 from .weierstrass import WeierstrassParams, eval_phi_counterexample
@@ -60,7 +62,7 @@ class DeformationFunction:
         if self.kind not in _KINDS:
             raise InvalidFamilySpec(f"unknown kind {self.kind!r}")
         _check_q(self.gamma, "gamma", InvalidFamilySpec)
-        _check_q(self.k, "k", NonPositiveK)
+        _check_k(self.k, "k", NonPositiveK)
         if self.kind == "weierstrass_phi" and not isinstance(self.wparams, WeierstrassParams):
             raise InvalidFamilySpec(f"weierstrass_phi needs params, got {self.wparams!r}")
         if self.kind == "tabulated":
@@ -218,7 +220,7 @@ class EntropyFamily:
     validated: bool = True
 
     def __post_init__(self) -> None:
-        _check_q(self.k, "k", NonPositiveK)
+        _check_k(self.k, "k", NonPositiveK)
         for label, func in (("phi", self.phi), ("alpha", self.alpha)):
             # The spec holds one k for every scaled kind, the family's.  The
             # memoized stand-ins of run_full_report have no kind to check.
@@ -310,6 +312,7 @@ def _function_from_spec(spec: Mapping, field: str, k: float) -> DeformationFunct
         raise InvalidFamilySpec(
             f"field {field!r}: unknown kind {kind!r}, expected one of {tuple(_KINDS)}"
         )
+    _refuse_unknown(spec, ("kind",) + _KINDS[kind].fields, f"field {field!r}: ")
     args = {}
     for name in _KINDS[kind].fields:
         spec_field = _FIELDS[name]
@@ -322,22 +325,35 @@ def _function_from_spec(spec: Mapping, field: str, k: float) -> DeformationFunct
             raise InvalidFamilySpec(f"field {field!r}: missing {name!r}")
     if _KINDS[kind].scaled:
         args["k"] = k
-    return _KINDS[kind].make(**args)
+    try:
+        return _KINDS[kind].make(**args)
+    except InputError as exc:
+        raise type(exc)(f"field {field!r}: {exc}") from None
+
+
+def _refuse_unknown(spec: Mapping, known: tuple[str, ...], where: str) -> None:
+    unknown = [name for name in spec if name not in known]
+    if unknown:
+        raise InvalidFamilySpec(
+            f"{where}unknown field {unknown[0]!r}, expected one of {known}")
 
 
 def family_from_spec(spec: Mapping) -> EntropyFamily:
     """Parse a family spec document, naming the offending field on error.
 
     Schema: {"phi": {"kind": ..., ...}, "alpha": {"kind": ..., ...},
-    "k": positive number, "validate": optional bool}.  Kinds whose formula
-    contains k (tsallis_phi, power_phi, weierstrass_phi) take it from the
-    family-level "k" so there is a single source of truth for units.
+    "k": positive number, "validate": optional bool}, and no other field,
+    at either level.  Kinds whose formula contains k (tsallis_phi,
+    power_phi, weierstrass_phi) take it from the family-level "k" so there
+    is a single source of truth for units.
     """
     if not isinstance(spec, Mapping):
         raise InvalidFamilySpec("family spec must be a JSON object")
+    _refuse_unknown(spec, ("phi", "alpha", "k", "validate"), "")
     if "k" not in spec:
         raise InvalidFamilySpec("field 'k': missing")
     k = _spec_value(spec["k"], "positive", "field 'k':")
+    _check_k(k, "field 'k':", InvalidFamilySpec)
     if "phi" not in spec:
         raise InvalidFamilySpec("field 'phi': missing")
     if "alpha" not in spec:

@@ -112,6 +112,8 @@ def _phi_at(f: EntropyFamily, q: float) -> float:
         raise _vanishing_phi(q)
     if abs(phi_q) < sys.float_info.min:
         raise PhiVanishes(f"phi({q!r}) = {phi_q!r} is subnormal, an imprecise divisor")
+    if not abs(phi_q) < math.inf:
+        raise EvaluationError(f"phi({q!r}) = {phi_q!r} is not finite")
     return phi_q
 
 

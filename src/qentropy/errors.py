@@ -3,7 +3,8 @@
 Two branches matter for the CLI: InputError maps to exit code 2 (bad or
 inconsistent input) and EvaluationError maps to exit code 3 (valid objects
 queried at a point where the result is undefined).  _check_q is the one
-positive-and-finite check of q and k, shared by every module that takes them.
+positive-and-finite check of q and k, shared by every module that takes them;
+_check_k adds a finite 1/k to it.
 """
 
 import math
@@ -71,9 +72,16 @@ class NegativeEntropy(EvaluationError):
 
 def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -> None:
     """The one positive-and-finite check: q of every kind, every entropy route and the
-    CLI's q flags; k and gamma of every deformation and family, k of the
-    Weierstrass phi, and the CLI's --k."""
+    CLI's q flags; gamma of every deformation; and through _check_k, k of
+    every deformation and family, of the Weierstrass phi and the CLI's --k."""
     if not q > 0.0:
         raise error(f"{label} must be positive, got {q!r}")
     if q == math.inf:
         raise error(f"{label} must be finite, got {q!r}")
+
+
+def _check_k(k: float, label: str, error: type[Exception]) -> None:
+    """_check_q for k, and a finite 1/k: the slope phi'(1) of a scaled phi."""
+    _check_q(k, label, error)
+    if 1.0 / k == math.inf:
+        raise error(f"{label} must have a finite reciprocal, got {k!r}")

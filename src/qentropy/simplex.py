@@ -54,15 +54,14 @@ def _fsum(values: Iterable[float]) -> float:
 
 # Rows this long are summed by error-free extraction (Rump, Ogita and Oishi,
 # "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
-# 2008), not by math.fsum, which makes a Python float per entry.  Rows are
-# cut into equal segments of at most _BLOCK entries, and a block holds the
-# segments of as many rows as fit in _BLOCK entries.  Let 2^shift >= the
-# segment length w.  A level on a segment r with a power of two
-# sigma >= 2^shift max|r| takes q = (sigma + r) - sigma: q and r - q are
-# exact for entries of either sign, and the q's are multiples of 2^-53 sigma
-# no larger than 2^-shift sigma, so every partial sum of them is exact and
-# tau = q.sum() is the same in any order, on every SIMD target.  The
-# remainder is at most 2^-53 sigma.
+# 2008), not by math.fsum, which makes a Python float per entry.  Each row
+# is summed on its own, cut into equal segments of at most _BLOCK entries.
+# Let 2^shift >= the segment length w.  A level on a segment r with a power
+# of two sigma >= 2^shift max|r| takes q = (sigma + r) - sigma: q and r - q
+# are exact for entries of either sign, and the q's are multiples of
+# 2^-53 sigma no larger than 2^-shift sigma, so every partial sum of them is
+# exact and tau = q.sum() is the same in any order, on every SIMD target.
+# The remainder is at most 2^-53 sigma.
 #
 # One level is taken, and its remainder is summed in floats: in any order
 # that sum is within w^2 2^-53 max|r| of the exact one.  The row's sum is
@@ -75,55 +74,34 @@ _LONG_ROW = 1024
 _BLOCK = 1 << 15
 
 
-def _extracted_sums(X: np.ndarray) -> list[float | None]:
-    """math.fsum of each row of the 2-D X by one extraction level, bit for
-    bit; None where the level does not settle the sum, or sigma or the sum
-    would overflow."""
-    rows, cols = X.shape
-    width = -(-cols // -(-cols // _BLOCK))
-    height = max(1, _BLOCK // width)
+def _extracted_sum(row: np.ndarray) -> float | None:
+    """math.fsum of the 1-D row by one extraction level, bit for bit; None
+    where the level does not settle the sum, or sigma or the sum would
+    overflow."""
+    n = len(row)
+    width = -(-n // -(-n // _BLOCK))
     shift = (width - 1).bit_length()
     scale = width * width * 2.0 ** -53
-    parts = [[] for _ in range(rows)]
-    bounds = [0.0] * rows
-    for first in range(0, rows, height):
-        stop = min(rows, first + height)
-        for start in range(0, cols, width):
-            r = X[first:stop, start:start + width]
-            top = np.maximum(r.max(axis=1), -r.min(axis=1))
-            fits = top < 2.0 ** (1022 - shift)
-            if not fits.all():
-                stuck = ~fits
-                for i in np.flatnonzero(stuck).tolist():
-                    bounds[first + i] = math.inf
-                if min(bounds[first:stop]) == math.inf:
-                    break
-                r = np.where(stuck[:, None], 0.0, r)
-                top[stuck] = 0.0
-            # sigma = 2^(shift + e) with top < 2^e, built from its bits, and
-            # never subnormal, which is slow
-            exp = np.maximum((top.view(np.int64) >> 52) + (1 + shift), 1)
-            sigma = (exp << 52).view(np.float64)[:, None]
-            q = r + sigma
-            q -= sigma
-            taus = q.sum(axis=1).tolist()
-            r = np.subtract(r, q, out=q)
-            rests = r.sum(axis=1).tolist()
-            top = np.maximum(r.max(axis=1), -r.min(axis=1)).tolist()
-            for i, tau, rest, largest in zip(range(first, stop), taus, rests, top):
-                parts[i] += tau, rest
-                bounds[i] += largest * scale
-    sums = []
+    parts, bound = [], 0.0
+    for start in range(0, n, width):
+        r = row[start:start + width]
+        top = max(r.max(), -r.min())
+        if not top < 2.0 ** (1022 - shift):
+            return None
+        # sigma = 2^(shift + e) with top < 2^e, never subnormal, which is slow
+        sigma = math.ldexp(1.0, max(math.frexp(top or 5e-324)[1], -1022) + shift)
+        q = r + sigma
+        q -= sigma
+        parts.append(q.sum())
+        r = np.subtract(r, q, out=q)
+        parts.append(r.sum())
+        bound += max(r.max(), -r.min()) * scale
+    try:
+        t = math.fsum(parts)
+    except OverflowError:
+        return None
     # bounds add up in floats, which may round low; twice the sum cannot
-    for row_parts, bound in zip(parts, bounds):
-        try:
-            t = math.fsum(row_parts)
-        except OverflowError:
-            bound = math.inf
-        if bound == math.inf or bound and not _settled(t, row_parts, 2.0 * bound):
-            t = None
-        sums.append(t)
-    return sums
+    return None if bound and not _settled(t, parts, 2.0 * bound) else t
 
 
 def _settled(t: float, parts: list[float], bound: float) -> bool:
@@ -142,8 +120,8 @@ def _exact_sums(X: np.ndarray) -> list[float]:
     overflows it reads inf.  fsum overflows where a partial sum does; on a
     single-signed row that is where the sum itself does.
 
-    Short rows go to math.fsum, row by row only if one overflows; long rows
-    to _extracted_sums, and the long rows that it leaves open to math.fsum."""
+    Short rows go to math.fsum, row by row only if one overflows; each long
+    row to _extracted_sum, and to math.fsum if that leaves it open."""
     if X.shape[1] < _LONG_ROW:
         rows = X.tolist()
         try:
@@ -151,7 +129,7 @@ def _exact_sums(X: np.ndarray) -> list[float]:
         except OverflowError:
             return list(map(_fsum, rows))
     return [_fsum(memoryview(row)) if s is None else s
-            for s, row in zip(_extracted_sums(X), X)]
+            for s, row in zip(map(_extracted_sum, X), X)]
 
 
 def _checked_floats(values: Iterable, what: str) -> list[float]:

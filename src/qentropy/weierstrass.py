@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidWeierstrassParams, _check_q
+from .errors import InputError, InvalidWeierstrassParams, _check_k
 from .simplex import _exact_sums
 
 # Weierstrass's sufficient condition on the product ab.
@@ -147,8 +147,12 @@ def _angles(params: WeierstrassParams, xs: np.ndarray) -> np.ndarray:
 
 
 def _finite(xs) -> np.ndarray:
-    """xs as a 1-D float64 array; InputError names its first non-finite x."""
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    """xs as a 1-D float64 array; InputError names its first non-finite x,
+    or xs if it is not a number or an array of numbers."""
+    try:
+        xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        raise InputError(f"x must be a number or an array of numbers, got {xs!r}") from None
     finite = np.isfinite(xs)
     if not finite.all():
         raise InputError(f"x must be finite, got {xs[finite.argmin()].item()!r}")
@@ -185,7 +189,7 @@ def eval_phi_counterexample(params: WeierstrassParams, k: float,
     the sign of q-1; phi(1) = 0 exactly since the (q-1) factor is applied
     last.  phi is differentiable only at q = 1, where phi'(1) = 1/k.
     """
-    _check_q(k, "k", InputError)
+    _check_k(k, "k", InputError)
     h = np.asarray(q, dtype=np.float64) - 1.0
     w0 = params.w0
     bracket = (eval_W(params, h) + 2.0 * w0) / (3.0 * w0)
@@ -204,10 +208,13 @@ def difference_quotients(
 
     Each quotient divides by the actually-representable step (x + h) - x,
     not the nominal h, so no cancellation error enters the denominator.
-    A depth whose step vanishes next to x is an InputError.
+    A base that is not a finite number above 1, whose steps do not shrink,
+    or a depth whose step vanishes next to x is an InputError.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    if not 1.0 < base < math.inf:
+        raise InputError(f"base must be finite and > 1, got {base!r}")
     points = [x + float(base) ** (-m) for m in range(1, depth + 1)]
     if points[-1] == x:
         # The points approach x monotonically: the first one equal to x
@@ -230,7 +237,10 @@ class ProbeResult:
 
 
 def quotient_spread(pairs: Sequence[tuple[float, float]]) -> float:
-    """max - min of the quotients over the last half of the scales."""
+    """max - min of the quotients over the last half of the scales; at
+    least 2 pairs, so that the half holds one."""
+    if len(pairs) < 2:
+        raise InputError(f"quotient_spread needs at least 2 pairs, got {len(pairs)}")
     tail = [d for _, d in pairs[len(pairs) - len(pairs) // 2:]]
     return max(tail) - min(tail)
 

@@ -1,7 +1,8 @@
 """Print the cost of the exactly rounded row sum, _exact_sums, per call.
 
-One line per input class and shape: the best of five timings of a call, in
-microseconds, and the same per entry in nanoseconds.  The input classes:
+One line per input class and shape: the median of 15 timings of a call, in
+microseconds, the interquartile range of those timings, and the median per
+entry in nanoseconds.  The input classes:
 
     short     typical rows shorter than 1,024 entries, which go to
               math.fsum, in batches of the shapes an axiom report sums:
@@ -19,18 +20,22 @@ microseconds, and the same per entry in nanoseconds.  The input classes:
               negatives, shuffled: a sum that cancels to zero with entries
               whose remainders the level leaves nonzero, so the row also
               goes on to math.fsum
-    ... x40   40 such rows summed in one call, as the kernel sums a batch
+    ... x40   40 such rows summed in one call, as the kernel sums a batch:
+              each row on its own, so 40 times one row's cost
 
 The last four take row lengths n in {1024, 10^4, 10^5}.
 
 Compare the listing with another tree's to see what a change to the sum
-costs, input class by input class; nothing is checked:
+costs, input class by input class; nothing is checked.  Run the two trees
+alternately, a few times each, and read a difference only where it is
+larger than both interquartile ranges:
 
     python tests/sum_costs.py
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
 
+import statistics
 import sys
 import timeit
 from pathlib import Path
@@ -65,8 +70,10 @@ def _narrow(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
 
 def _time(label: str, X: np.ndarray) -> None:
     number = max(1, 2_000_000 // X.size)
-    best = min(timeit.repeat(lambda: _exact_sums(X), number=number, repeat=5)) / number
-    print(f"{label:<22} {best * 1e6:10.1f} us {best * 1e9 / X.size:6.1f} ns/entry")
+    times = [t / number for t in timeit.repeat(lambda: _exact_sums(X), number=number, repeat=15)]
+    low, median, high = statistics.quantiles(times, n=4)
+    print(f"{label:<22} {median * 1e6:10.1f} us  IQR {(high - low) * 1e6:8.1f} us "
+          f"{median * 1e9 / X.size:6.1f} ns/entry")
 
 
 for shape in ((240, 4), (201, 3), (60, 15)):

@@ -231,6 +231,11 @@ class TestGeneralizedAdditivity:
         rec = check_generalized_additivity(WEIERSTRASS, Q_GRID, refs, mode="generalized")
         assert rec.verdict == "pass"
 
+    def test_unknown_mode_refused(self):
+        refs = sample_refinement(2, 2, 1, seed=5)
+        with pytest.raises(InputError, match="^unknown mode 'renyi'$"):
+            check_generalized_additivity(TSALLIS, Q_GRID, refs, mode="renyi")
+
 
 class TestPseudoadditivity:
     def test_tsallis(self):

@@ -227,6 +227,46 @@ def test_malformed_number_exits_2(tsallis_file, tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+# Refusals of the CLI's own checks, each with its message: the placeholders
+# name a Tsallis family file, one that is not JSON, one with an unknown
+# field, and a distribution file that does not exist.
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "--family", "TSALLIS", "--q", "2", "--dist", "MISSING"],
+     "error: distribution file not found: "),
+    (["eval", "--family", "TSALLIS", "--q", "2", "--dist", "[0.5,"],
+     "error: distribution is not valid JSON: "),
+    (["eval", "--family", "TSALLIS", "--q", "2", "--dist", '["a", 0.5]'],
+     "error: distribution must be a JSON array of numbers"),
+    (["eval", "--family", "NOT_JSON", "--q", "2", "--dist", "[0.5,0.5]"],
+     "is not valid JSON: "),
+    (["eval", "--family", "UNKNOWN_FIELD", "--q", "2", "--dist", "[0.5,0.5]"],
+     "error: unknown field 'validat', expected one of ('phi', 'alpha', 'k', 'validate')"),
+    (["weierstrass", "--range=0:1"], "error: --range must look like lo:hi:step"),
+    (["weierstrass", "--range=a:1:0.5"], "error: --range must contain numbers"),
+    (["weierstrass", "--range=0:1:0"], "error: --range needs step > 0 and hi >= lo"),
+    (["weierstrass", "--range=0:1:-0.5"], "error: --range needs step > 0 and hi >= lo"),
+    (["weierstrass", "--range=1:0:0.5"], "error: --range needs step > 0 and hi >= lo"),
+    (["axioms", "--family", "TSALLIS", "--samples", "0"], "error: --samples must be >= 1"),
+    (["counterexample", "--depth", "1"], "error: --depth must be >= 2"),
+    (["counterexample", "--k", "1e-320"], "error: --k must have a finite reciprocal, got 1e-320"),
+])
+def test_refused_input_exits_2(tsallis_file, tmp_path, capsys, argv, message):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{phi: tsallis}")
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps(dict(TSALLIS_SPEC, validat=False)))
+    files = {"TSALLIS": tsallis_file, "NOT_JSON": str(not_json), "UNKNOWN_FIELD": str(unknown),
+             "MISSING": str(tmp_path / "missing.json")}
+    out = tmp_path / "out"
+    argv = [files.get(a, a) for a in argv]
+    rc = main(argv + ([] if argv[0] == "eval" else ["--output", str(out)]))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out.exists()
+
+
 class TestAxioms:
     def test_tsallis_all_pass(self, tsallis_file, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -27,6 +27,7 @@ from qentropy.deformation import (
 from qentropy.errors import (
     DomainError,
     InvalidFamilySpec,
+    InvalidWeierstrassParams,
     NonPositiveK,
     OutOfTableRange,
 )
@@ -233,6 +234,15 @@ class TestTsallisFamily:
          "k must be positive, got nan"),
         (lambda: EntropyFamily(negated_phi(), one_minus_q_alpha(), math.inf),
          "k must be finite, got inf"),
+        # phi'(1) = 1/k would be inf: a report on tsallis_family(1e-320)
+        # failed phi_derivative_at_1 with residual 1e300.
+        (lambda: tsallis_family(1e-310), "k must have a finite reciprocal, got 1e-310"),
+        (lambda: tsallis_phi(1e-320), "k must have a finite reciprocal, got 1e-320"),
+        (lambda: power_phi(0.5, k=5e-324), "k must have a finite reciprocal, got 5e-324"),
+        (lambda: weierstrass_phi(WeierstrassParams(0.5, 13), k=1e-320),
+         "k must have a finite reciprocal, got 1e-320"),
+        (lambda: EntropyFamily(negated_phi(), one_minus_q_alpha(), 1e-320),
+         "k must have a finite reciprocal, got 1e-320"),
     ])
     def test_rejects_k_zero(self, build, message):
         with pytest.raises(NonPositiveK, match=message):
@@ -363,11 +373,44 @@ class TestFamilySpec:
         ({"phi": {"kind": "weierstrass_phi", "a": 0.5, "b": 13, "eps": True}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "'eps'"),
         ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "tabulated", "points": [[0.5, "x"], [2.0, -1.0]]}, "k": 1.0}, "'points'"),
         ({"phi": {"kind": ["tsallis_phi"]}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0}, "phi"),
+        ([], "family spec must be a JSON object"),
+        ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"}},
+         "field 'k': missing"),
+        ({"phi": {"kind": "tsallis_phi"}, "k": 1.0}, "field 'alpha': missing"),
+        ({"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"}, "k": 1.0,
+          "validate": 1}, "field 'validate': must be a boolean, got 1"),
+        ({"phi": {"kind": "tsallis_phi"}, "alpha": [1], "k": 1.0},
+         "field 'alpha' must be an object"),
     ])
     def test_diagnostics_name_offending_field(self, spec, field):
         with pytest.raises(InvalidFamilySpec) as err:
             family_from_spec(spec)
         assert field in str(err.value)
+
+    # Unknown fields were dropped: "validat" gave a validated family, and a
+    # gamma on tsallis_phi was accepted and not echoed.  A constructor's
+    # refusal did not name its field.
+    @pytest.mark.parametrize("change,error,message", [
+        ({"validat": False}, InvalidFamilySpec,
+         "unknown field 'validat', expected one of ('phi', 'alpha', 'k', 'validate')"),
+        ({"phi": {"kind": "tsallis_phi", "gamma": 3}}, InvalidFamilySpec,
+         "field 'phi': unknown field 'gamma', expected one of ('kind',)"),
+        ({"alpha": {"kind": "power_alpha", "gamma": 2.0, "k": 1.0}}, InvalidFamilySpec,
+         "field 'alpha': unknown field 'k', expected one of ('kind', 'gamma')"),
+        ({"phi": {"kind": "tabulated", "points": [[0.01, -1.0], [1.0, 0.0], [1.0, 1.0]]},
+          "validate": False}, InvalidFamilySpec,
+         "field 'phi': tabulated q grid must be strictly increasing"),
+        ({"phi": {"kind": "weierstrass_phi", "a": 2.0, "b": 13}}, InvalidWeierstrassParams,
+         "field 'phi': a must be in (0,1), got 2.0"),
+        ({"k": 1e-320}, InvalidFamilySpec, "field 'k': must have a finite reciprocal, got 1e-320"),
+    ])
+    def test_refusal_names_field(self, change, error, message):
+        spec = {"phi": {"kind": "tsallis_phi"}, "alpha": {"kind": "one_minus_q_alpha"},
+                "k": 1.0, **change}
+        with pytest.raises(error) as err:
+            family_from_spec(spec)
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_unvalidated_round_trip(self):
         f = EntropyFamily(

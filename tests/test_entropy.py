@@ -98,6 +98,17 @@ class TestSuyari:
         with pytest.raises(PhiVanishes, match="subnormal"):
             suyari_entropy(Distribution((0.5, 0.5)), f, 1.0 + 1e-10)
 
+    def test_infinite_phi_refused(self):
+        # phi = 99999 / 1e-305 overflows: every quotient by it read 0.0.
+        f = tsallis_family(1e-305)
+        d = Distribution((0.5, 0.25, 0.25))
+        for call in (lambda: information_content(f, 1e5, 0.25),
+                     lambda: generalized_entropy(d, f, 1e5),
+                     lambda: suyari_entropy(d, f, 1e5),
+                     lambda: trace_expectation(d, f, 1e5)):
+            with pytest.raises(EvaluationError, match=r"^phi\(100000.0\) = inf is not finite$"):
+                call()
+
 
 class TestGeneralized:
     def test_reduces_to_suyari_bitwise(self):

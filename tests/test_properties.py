@@ -328,9 +328,9 @@ def test_trace_split_at_the_cut_is_per_entry(kind, q):
     assert [v.hex() for v in entropies(_stack(_CUT_ROWS), f, q, "trace")] == want
 
 
-# Row lengths on both sides of the length cut, and ones whose blocks of
-# _BLOCK entries hold 4, 3, 2 or 1 rows, or cut a row into 2 or 3 segments:
-# with up to 5 rows, a batch straddles the block edges.
+# Row lengths on both sides of the length cut, and on both sides of the
+# segment edges: a row of up to _BLOCK entries is one segment, a longer one
+# is cut into 2 or 3.
 _CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, _BLOCK // 4,
                 _BLOCK // 3, _BLOCK // 2, _BLOCK // 2 + 1, _BLOCK - 1, _BLOCK,
                 _BLOCK + 1, 2 * _BLOCK + 5)
@@ -348,8 +348,8 @@ _CUT_LENGTHS = (1, 7, _LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, _BLOCK // 4,
 )
 def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special, seed):
     """_row_sums is math.fsum of each row's p > 0 entries, bit for bit, on
-    both sides of the length cut, across segment edges within a row and
-    block edges between rows: terms m 2^e with e
+    both sides of the length cut, across segment edges within a row, in
+    batches of up to 5 rows: terms m 2^e with e
     anywhere from the subnormals to the top of the range, exact zeros, and
     NaN in the entries outside the mask.  A cancelling row holds entries and
     their negations, shuffled, and one residual entry: 0, 5e-324 or the
@@ -388,8 +388,8 @@ def test_row_sums_equal_fsum(rows, length, exponents, sign, zero_share, special,
 
 
 def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
-    """Rows of 4,096 entries, and one batch of short rows, each with the
-    number of its rows that go to math.fsum."""
+    """Rows of 4,096 entries, one row of two segments, and one batch of
+    short rows, each with the number of its rows that go to math.fsum."""
     n = 4096
     rng = np.random.default_rng(15)
 
@@ -420,6 +420,8 @@ def _branch_rows() -> dict[str, tuple[np.ndarray, int]]:
         "cancels below the levels": (wide_cancel[None], 1),
         "batch with one open row": (np.stack([typical, broken_tie, wide]), 1),
         "short rows, one overflowing": (short, 3),
+        "largest entry subnormal": (row(1e-310, 5e-324, 3e-320, 2.5e-309)[None], 0),
+        "an all-zero segment": (np.concatenate([typical, np.zeros(_BLOCK + 1 - n)])[None], 0),
     }
 
 

@@ -353,3 +353,12 @@ class TestSampleRefinement:
 
     def test_bit_reproducible(self):
         assert sample_refinement(3, 3, 10, seed=4) == sample_refinement(3, 3, 10, seed=4)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, 2, 1), "n must be >= 1"),
+        ((2, 0, 1), "max_m must be >= 1"),
+        ((2, 2, 0), "count must be >= 1"),
+    ])
+    def test_validates_arguments(self, args, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            sample_refinement(*args, seed=0)

@@ -265,6 +265,29 @@ class TestProbe:
         with pytest.raises(InputError):
             nondifferentiability_probe(P_DEFAULT, 0.0, 1)
 
+    # Each was a bare ValueError, or, for base <= 1, steps that do not
+    # shrink (1, 1, 1 or 2, 4, 8) returned as derivative estimates.
+    @pytest.mark.parametrize("call,message", [
+        (lambda: eval_W(P_DEFAULT, "a"), "x must be a number or an array of numbers, got 'a'"),
+        (lambda: eval_W(P_DEFAULT, [0.5, "a"]),
+         "x must be a number or an array of numbers, got [0.5, 'a']"),
+        (lambda: quotient_spread([]), "quotient_spread needs at least 2 pairs, got 0"),
+        (lambda: quotient_spread([(0.1, 1.0)]), "quotient_spread needs at least 2 pairs, got 1"),
+        (lambda: difference_quotients(abs, 0.0, 1, 3), "base must be finite and > 1, got 1"),
+        (lambda: difference_quotients(abs, 0.0, 0.5, 3), "base must be finite and > 1, got 0.5"),
+        (lambda: difference_quotients(abs, 0.0, math.nan, 3),
+         "base must be finite and > 1, got nan"),
+        (lambda: difference_quotients(abs, 0.0, math.inf, 3),
+         "base must be finite and > 1, got inf"),
+        (lambda: difference_quotients(abs, 0.0, 13, 0), "depth must be >= 1"),
+        (lambda: eval_phi_counterexample(P_DEFAULT, 1e-320, 1.5),
+         "k must have a finite reciprocal, got 1e-320"),
+    ])
+    def test_refusals_are_input_errors(self, call, message):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == message
+
     def test_vanishing_step_names_deepest_depth(self):
         # 1.0 + 13^-15 == 1.0: the step at depth 15 vanishes next to 1.
         assert 1.0 + 13.0 ** -15 == 1.0
