@@ -41,6 +41,7 @@ from .errors import (
     OutOfTableRange,
     _check_k,
     _check_q,
+    _floats,
 )
 from .weierstrass import WeierstrassParams, eval_phi_counterexample
 
@@ -82,7 +83,7 @@ class DeformationFunction:
     def values(self, qs: Sequence[float] | np.ndarray) -> np.ndarray:
         """The function at each q of a 1-D sequence, bit for bit the float
         calls; raises as the float call at the first q it cannot evaluate."""
-        qs = np.asarray(qs, dtype=np.float64).reshape(-1)
+        qs = _floats(qs, "q").reshape(-1)
         positive = (qs > 0.0) & (qs < math.inf)
         if not positive.all():
             _check_q(qs[positive.argmin()].item())

@@ -56,7 +56,7 @@ from .errors import (
     PhiVanishes,
     ZeroWithNonpositiveExponent,
 )
-from .simplex import Distribution, _exact_sums
+from .simplex import Distribution, _exact_sums, _scratch
 
 _CLAMP = 1e-12
 _FORMS = ("generalized", "suyari", "trace")
@@ -133,7 +133,7 @@ def _quotient_sums(P: np.ndarray, log: np.ndarray, outside,
         off = -f.alpha(q)
         _require_zeros_allowed(P, outside, 1.0 + off)
     phi_q = _phi_at(f, q)
-    terms = log * off
+    terms = np.multiply(log, off, out=_scratch(0, P.shape))
     terms[outside] = 0.0  # an infinite argument sends expm1 to a slow loop
     np.expm1(terms, out=terms)
     terms *= P
@@ -152,11 +152,12 @@ def _quotient_sums(P: np.ndarray, log: np.ndarray, outside,
 
 
 def _information(log: np.ndarray, alpha_q: float, phi_q: float,
-                 outside=None) -> np.ndarray:
+                 outside=None, out=None) -> np.ndarray:
     """I_q(p) = expm1(z) / phi(q) with z = alpha(q) ln p, element-wise, q != 1,
-    from log = ln p.  The entries at the index outside, which the caller
-    discards, are computed at z = 0: an infinite z sends expm1 to a slow loop."""
-    values = log * alpha_q
+    from log = ln p, into the array out if given.  The entries at the index
+    outside, which the caller discards, are computed at z = 0: an infinite z
+    sends expm1 to a slow loop."""
+    values = np.multiply(log, alpha_q, out=out)
     if outside is not None:
         values[outside] = 0.0
     np.expm1(values, out=values)
@@ -186,13 +187,19 @@ def _trace_sums(P: np.ndarray, log: np.ndarray, outside,
     e = 1.0 - alpha_q
     _require_zeros_allowed(P, outside, e)
     phi_q = _phi_at(f, q)
-    weight = P ** e
+    # A zero sends numpy's AVX-512 power to a loop twice as slow, so the
+    # entries outside are raised at 1.0: _row_sums sets their terms to 0, and
+    # far and near are read from P.
+    weight = _scratch(1, P.shape)
+    np.copyto(weight, P)
+    weight[outside] = 1.0
+    np.power(weight, e, out=weight)
     # Where exp(1/alpha(q)) is 0 (alpha(q) >= 0, or next to q = 1) no entry is far.
     cut = math.exp(1.0 / alpha_q) if alpha_q < 0.0 else 0.0
     far = P < cut if cut else None  # NaN padding is neither far nor near
     n_far = 0 if far is None else np.count_nonzero(far)
     if 2 * n_far <= P.size:
-        terms = _information(log, alpha_q, phi_q, outside)
+        terms = _information(log, alpha_q, phi_q, outside, out=_scratch(0, P.shape))
         terms *= weight
         if n_far:
             terms[far] = (P[far] - weight[far]) / phi_q
@@ -241,7 +248,8 @@ def _entropies(P: np.ndarray, log: np.ndarray, outside, f: EntropyFamily, q: flo
     entries of P that are not > 0 (a mask, or the columns of the zeros)."""
     if q == 1.0:
         # e_1(p) = p and I_1(p) = -k ln p: every form is the Shannon sum.
-        sums = [-f.k * s for s in _row_sums(log * P, outside)]
+        terms = np.multiply(log, P, out=_scratch(0, P.shape))
+        sums = [-f.k * s for s in _row_sums(terms, outside)]
     elif form == "trace":
         sums = _trace_sums(P, log, outside, f, q)
     else:

@@ -4,10 +4,13 @@ Two branches matter for the CLI: InputError maps to exit code 2 (bad or
 inconsistent input) and EvaluationError maps to exit code 3 (valid objects
 queried at a point where the result is undefined).  _check_q is the one
 positive-and-finite check of q and k, shared by every module that takes them;
-_check_k adds a finite 1/k to it.
+_check_k adds a finite 1/k to it.  A q, k or x that is not a number at all is
+an InputError, from _check_q or, for an array argument, _floats.
 """
 
 import math
+
+import numpy as np
 
 
 class QentropyError(Exception):
@@ -74,7 +77,11 @@ def _check_q(q: float, label: str = "q", error: type[Exception] = DomainError) -
     """The one positive-and-finite check: q of every kind, every entropy route and the
     CLI's q flags; gamma of every deformation; and through _check_k, k of
     every deformation and family, of the Weierstrass phi and the CLI's --k."""
-    if not q > 0.0:
+    try:
+        positive = q > 0.0
+    except TypeError:
+        raise InputError(f"{label} must be a number, got {q!r}") from None
+    if not positive:
         raise error(f"{label} must be positive, got {q!r}")
     if q == math.inf:
         raise error(f"{label} must be finite, got {q!r}")
@@ -85,3 +92,13 @@ def _check_k(k: float, label: str, error: type[Exception]) -> None:
     _check_q(k, label, error)
     if 1.0 / k == math.inf:
         raise error(f"{label} must have a finite reciprocal, got {k!r}")
+
+
+def _floats(values, label: str) -> np.ndarray:
+    """values as a float64 array of their shape; InputError names label if
+    they are not a number or an array of numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(
+            f"{label} must be a number or an array of numbers, got {values!r}") from None

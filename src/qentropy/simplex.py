@@ -22,6 +22,7 @@ spacings construction and is deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -50,6 +51,33 @@ def _fsum(values: Iterable[float]) -> float:
         return math.fsum(values)
     except OverflowError:
         return math.inf
+
+
+# Each thread keeps one float64 array per slot for the kernel's long
+# temporaries: 0 the term array, 1 the trace route's weight, 2 the extraction
+# segment.  A new array of 10^5 entries is 800 KB, which glibc maps and then
+# hands back to the operating system when it is freed, so every call faulted
+# its pages in again, ~200 minor faults per 10^5-entry call.  A slot grows to the
+# largest request up to _SCRATCH entries (1 MiB) and is kept; a larger
+# request gets a new array.  A slot's contents last only until the next
+# request for it in the same thread, so no result is ever a view of one.
+_SCRATCH = 1 << 17
+_slots = threading.local()
+
+
+def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of the shape: a view into this thread's
+    slot while it fits in _SCRATCH entries, a new array otherwise."""
+    size = math.prod(shape)
+    if size > _SCRATCH:
+        return np.empty(shape)
+    try:
+        arrays = _slots.arrays
+    except AttributeError:
+        arrays = _slots.arrays = [np.empty(0)] * 3
+    if arrays[slot].size < size:
+        arrays[slot] = np.empty(size)
+    return arrays[slot][:size].reshape(shape)
 
 
 # Rows this long are summed by error-free extraction (Rump, Ogita and Oishi,
@@ -90,7 +118,7 @@ def _extracted_sum(row: np.ndarray) -> float | None:
             return None
         # sigma = 2^(shift + e) with top < 2^e, never subnormal, which is slow
         sigma = math.ldexp(1.0, max(math.frexp(top or 5e-324)[1], -1022) + shift)
-        q = r + sigma
+        q = np.add(r, sigma, out=_scratch(2, r.shape))
         q -= sigma
         parts.append(q.sum())
         r = np.subtract(r, q, out=q)

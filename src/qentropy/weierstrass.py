@@ -49,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidWeierstrassParams, _check_k
+from .errors import InputError, InvalidWeierstrassParams, _check_k, _floats
 from .simplex import _exact_sums
 
 # Weierstrass's sufficient condition on the product ab.
@@ -149,10 +149,7 @@ def _angles(params: WeierstrassParams, xs: np.ndarray) -> np.ndarray:
 def _finite(xs) -> np.ndarray:
     """xs as a 1-D float64 array; InputError names its first non-finite x,
     or xs if it is not a number or an array of numbers."""
-    try:
-        xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError):
-        raise InputError(f"x must be a number or an array of numbers, got {xs!r}") from None
+    xs = _floats(xs, "x").reshape(-1)
     finite = np.isfinite(xs)
     if not finite.all():
         raise InputError(f"x must be finite, got {xs[finite.argmin()].item()!r}")
@@ -190,7 +187,7 @@ def eval_phi_counterexample(params: WeierstrassParams, k: float,
     last.  phi is differentiable only at q = 1, where phi'(1) = 1/k.
     """
     _check_k(k, "k", InputError)
-    h = np.asarray(q, dtype=np.float64) - 1.0
+    h = _floats(q, "q") - 1.0
     w0 = params.w0
     bracket = (eval_W(params, h) + 2.0 * w0) / (3.0 * w0)
     with np.errstate(over="ignore"):  # h / k past the float range is inf, as for floats

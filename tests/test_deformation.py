@@ -26,6 +26,7 @@ from qentropy.deformation import (
 )
 from qentropy.errors import (
     DomainError,
+    InputError,
     InvalidFamilySpec,
     InvalidWeierstrassParams,
     NonPositiveK,
@@ -78,6 +79,19 @@ class TestKinds:
             # An array call names its first q that is not positive and finite.
             with pytest.raises(DomainError, match=f"q must be {message}, got {q!r}"):
                 func.values([1.0, q, -2.0])
+
+    @pytest.mark.parametrize("func", [tsallis_phi(1.0), one_minus_q_alpha(),
+                                      weierstrass_phi(WeierstrassParams(0.5, 13), k=2.0)],
+                             ids=lambda func: func.kind)
+    def test_a_q_that_is_no_number_is_an_input_error(self, func):
+        # Each was numpy's ValueError or a TypeError from the comparison with 0.
+        with pytest.raises(InputError) as err:
+            func("a")
+        assert str(err.value) == "q must be a number, got 'a'"
+        for qs in (["a"], [1.5, None, "a"]):
+            with pytest.raises(InputError) as err:
+                func.values(qs)
+            assert str(err.value) == f"q must be a number or an array of numbers, got {qs!r}"
 
     # Every way of building a deformation checks gamma, NaN and inf too, and
     # the parameters its kind needs.

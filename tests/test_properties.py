@@ -18,6 +18,7 @@ for bit, and an array call of information_content to its 1-element calls.
 import importlib.util
 import math
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -523,3 +524,66 @@ def test_no_jump_next_to_one(kind, gamma):
                     value = route(d, f, q).value
                     with mpmath.workdps(DPS):
                         assert abs(value - ref) <= 1e-15 * ref, (route.__name__, q)
+
+
+# The kernel's long temporaries live in per-thread scratch arrays of up to
+# simplex._SCRATCH entries; a longer row takes new arrays.  Each call must
+# read only what it wrote itself, and no result may be a view of a slot.
+_SWEEP_Q = (0.25, 0.5, 0.9, 1 - 5e-10, 1.0, 1 + 5e-10, 1 + 1e-6, 1.25, 2.0, 3.0, 4.75)
+_ROUTES = (generalized_entropy, trace_expectation)
+
+
+def _sweep(d: Distribution, f) -> list[str]:
+    return [route(d, f, q).value.hex() for q in _SWEEP_Q for route in _ROUTES]
+
+
+def test_interleaved_long_rows_keep_their_bits():
+    """Calls on rows of 2,000, 10^5 and 2^17 + 1 entries (past the scratch
+    bound), interleaved q by q, give each distribution's first values."""
+    assert 100_000 < simplex._SCRATCH < 2**17 + 1
+    ds = [_large_histogram(seed=n, n=n) for n in (2_000, 100_000, 2**17 + 1)]
+    for f in (tsallis_family(), weierstrass_family()):
+        first = [_sweep(d, f) for d in ds]
+        for j, q in enumerate(_SWEEP_Q):
+            for r, route in enumerate(_ROUTES):
+                for i in (1, 0, 2, 1):
+                    value = route(ds[i], f, q).value.hex()
+                    assert value == first[i][2 * j + r], (len(ds[i]), q, route.__name__)
+
+
+def test_two_threads_give_the_single_thread_bits():
+    """Two threads sweeping the q grid at once, each over its own 10^5-entry
+    distribution, give what each sweep gives alone."""
+    f = power_family(0.5)
+    ds = [_large_histogram(seed=seed, n=100_000) for seed in (1, 2)]
+    alone = [_sweep(d, f) for d in ds]
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def run(i: int) -> None:
+        start.wait()
+        for _ in range(3):
+            results[i].append(_sweep(ds[i], f))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[alone[0]] * 3, [alone[1]] * 3]
+
+
+def test_information_content_outlives_later_calls():
+    """An array of I_q(p) is the caller's own: long-row kernel calls after
+    it leave it unchanged."""
+    f = tsallis_family()
+    p = _large_histogram(seed=3, n=100_000).array
+    p = p[p > 0.0]
+    values = information_content(f, 0.5, p)
+    kept = values.copy()
+    d = _large_histogram(seed=4, n=100_000)
+    for q in _SWEEP_Q:
+        for route in _ROUTES:
+            route(d, f, q)
+    assert np.array_equal(values.view(np.int64), kept.view(np.int64))

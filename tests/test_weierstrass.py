@@ -282,6 +282,10 @@ class TestProbe:
         (lambda: difference_quotients(abs, 0.0, 13, 0), "depth must be >= 1"),
         (lambda: eval_phi_counterexample(P_DEFAULT, 1e-320, 1.5),
          "k must have a finite reciprocal, got 1e-320"),
+        (lambda: eval_phi_counterexample(P_DEFAULT, 1.0, "a"),
+         "q must be a number or an array of numbers, got 'a'"),
+        (lambda: eval_phi_counterexample(P_DEFAULT, 1.0, [1.5, "a"]),
+         "q must be a number or an array of numbers, got [1.5, 'a']"),
     ])
     def test_refusals_are_input_errors(self, call, message):
         with pytest.raises(InputError) as err:
