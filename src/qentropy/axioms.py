@@ -68,6 +68,12 @@ REGION_Q_GRID = tuple(
 _LIMIT_HS = tuple(10.0 ** (-j) for j in range(3, 16))
 _LIMIT_QS = tuple(q for h in _LIMIT_HS for q in (1.0 + h, 1.0 - h))
 _LIMIT_TOL = 1e-4
+# The Shannon-limit offsets, the continuity probe's q sweep and the q of its
+# two simplex sweeps, and the derivative-limit probe's scales.
+_SHANNON_HS = tuple(10.0 ** (-j) for j in (2, 3, 4, 5, 6))
+_SHANNON_QS = tuple(q for h in _SHANNON_HS for q in (1.0 + h, 1.0 - h))
+_SWEEP_QS, _SEGMENT_QS = tuple(np.linspace(0.1, 4.0, 200).tolist()), (0.5, 2.0)
+_PROBE_HS = tuple(0.05 * 2.0 ** (-m) for m in range(10))
 
 
 @dataclass(frozen=True)
@@ -202,7 +208,7 @@ class _Residuals:
 class _Memo:
     """A deformation function evaluated at most once per q.  Only values are
     stored, as Python floats: a q that raised raises again, from the
-    function itself.  fill stores a check's q set from one array call."""
+    function itself.  fill stores a q set from one array call."""
 
     def __init__(self, func: DeformationFunction) -> None:
         self.func = func
@@ -224,22 +230,13 @@ class _Memo:
             return
         try:
             values = self.func.values(new)
-        except (QentropyError, OverflowError):
+        except QentropyError:
             return
         self.values.update(zip(new, values.tolist()))
 
 
-def _fill(qs: Sequence[float], *funcs: Callable[[float], float]) -> None:
-    """Fill each function that is a report's _Memo at qs; a no-op for a
-    check called on its own."""
-    for func in funcs:
-        if isinstance(func, _Memo):
-            func.fill(qs)
-
-
 def _is_tsallis_alpha(f: EntropyFamily, q_grid: Sequence[float]) -> bool:
     """True when alpha(q) coincides with 1 - q on the grid."""
-    _fill(q_grid, f.alpha)
     try:
         return all(abs(f.alpha(q) - (1.0 - q)) <= 1e-9 for q in q_grid)
     except QentropyError:
@@ -260,7 +257,6 @@ def check_maximality(
 ) -> CheckRecord:
     """Entropy of random simplex points never exceeds the uniform value."""
     name = "maximality"
-    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10, start=-math.inf) as acc:
         for n in n_set:
             # The uniform is row 0, so it is evaluated first at every q.
@@ -293,7 +289,6 @@ def check_expandability(
     evaluation error at a q leaves all of that q's gaps None.
     """
     P = _stack([d.probs for d in dists] + [d.probs + (0.0,) for d in dists])
-    _fill(q_grid, f.phi, f.alpha)
 
     def gaps_at(q: float) -> list[float]:
         values = entropies(P, f, q)
@@ -365,7 +360,6 @@ def check_generalized_additivity(
     if mode not in ("suyari", "generalized"):
         raise InputError(f"unknown mode {mode!r}")
     name = "shannon_additivity" if mode == "suyari" else "generalized_additivity"
-    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10) as acc:
         parts = _chain_parts(refinements)
         for q in q_grid:
@@ -389,7 +383,6 @@ def check_pseudoadditivity(
     name = "pseudoadditivity"
     rng = np.random.default_rng(_check_seed(seed, name))
     p1s, p2s = 1.0 - rng.random((samples, 2)).T  # values in (0, 1]
-    _fill(q_grid, f.phi, f.alpha)
     with _Residuals(name, q_grid, 1e-10) as acc:
         for q in q_grid:
             joint = information_content(f, q, p1s * p2s)
@@ -416,10 +409,9 @@ def check_shannon_limit(
     check, not a limit of the entropy code, which evaluates the plain
     quotient for every q != 1.
     """
-    hs = [10.0 ** (-j) for j in (2, 3, 4, 5, 6)]
+    hs = _SHANNON_HS
     tol = 1e-2
     gap_detail = {}
-    _fill([q for h in hs for q in (1.0 + h, 1.0 - h)], f.phi, f.alpha)
     with _Residuals("shannon_limit", [1.0 + h for h in hs], tol) as acc:
         P = _stack([d.probs for d in dists])
         s1 = entropies(P, f, 1.0)
@@ -492,7 +484,6 @@ def check_alpha_phi_limit(f: EntropyFamily) -> CheckRecord:
             raise _vanishing_phi(q)
         return alpha_q / phi_q
 
-    _fill(_LIMIT_QS, f.phi, f.alpha)
     return _limit_at_1("alpha_phi_limit", ratio, -f.k, "ratio", "deviations")
 
 
@@ -518,7 +509,6 @@ def check_phi_derivative_at_1(
         h = q - 1.0  # exact for q near 1 (Sterbenz)
         return (phi(q) - phi_1) / h
 
-    _fill(_LIMIT_QS, phi)
     return _limit_at_1(name, quotient, 1.0 / k, "quotient", "quotients")
 
 
@@ -531,7 +521,6 @@ def check_sign_condition(
     The residual is the number of violating grid points, so the record
     stays meaningful when the only violation is an exact zero.
     """
-    _fill(q_grid, f.phi)
     with _Residuals("sign_condition", q_grid, 0.0) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
@@ -554,7 +543,6 @@ def check_constraint_region(
     """
     tol = 1e-12
     per_q = []
-    _fill(q_grid, f.phi, f.alpha)
     with _Residuals("constraint_region", q_grid, tol) as acc:
         for q in q_grid:
             if abs(q - 1.0) <= 1e-12:
@@ -593,7 +581,6 @@ def check_convexity_of_I(
     ps[-1] = 1.0
     steps, spans = np.diff(ps), ps[2:] - ps[:-2]
     per_q = []
-    _fill(q_grid, f.phi, f.alpha)
     with _Residuals("convexity_of_I", q_grid, tol, start=-math.inf) as acc:
         for q in q_grid:
             slopes = np.diff(information_content(f, q, ps)) / steps
@@ -617,19 +604,17 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
     Hoelder-continuous families stay far below.
     """
     d_fixed = np.array([[0.5, 0.25, 0.25]])
-    qs = np.linspace(0.1, 4.0, 200).tolist()
     # The points at t on the segment from the uniform toward (1, 0, 0),
     # built once for both segment sweeps.
     ts = np.linspace(0.0, 0.98, 200).tolist()
     corners = [[(1.0 - t) / 3.0 + (t if i == 0 else 0.0) for i in range(3)] for t in ts]
     segment = np.array([[x / math.fsum(p) for x in p] for p in corners])
     slopes = []
-    _fill(qs + [0.5, 2.0], f.phi, f.alpha)
     with _Residuals("continuity_probe", (), 100.0 * f.k) as acc:
         # Each sweep: its grid, S over the grid, and the witness naming a point.
-        sweeps = [(qs, [entropies(d_fixed, f, q)[0] for q in qs],
+        sweeps = [(_SWEEP_QS, [entropies(d_fixed, f, q)[0] for q in _SWEEP_QS],
                    lambda x: {"direction": "q", "q": x})]
-        for q in (0.5, 2.0):
+        for q in _SEGMENT_QS:
             sweeps.append((ts, entropies(segment, f, q),
                            lambda t, q=q: {"direction": "p", "q": q, "t": t}))
         for xs, values, where in sweeps:
@@ -639,6 +624,14 @@ def check_continuity(f: EntropyFamily) -> CheckRecord:
         acc.add([slope], lambda _: dict(where(x1), slope=slope))
     return acc.record(sample_count=len(slopes),
                       details={"note": "heuristic slope bound, not conclusive"})
+
+
+def _probe_points(x0: float) -> list[tuple[float, float, float]]:
+    """(upper, lower, step) of each quotient of derivative_limit_probe, in
+    its order: x0 +/- h for each h, then x0 + h +/- s and x0 - h +/- s."""
+    return [(x0 + h, x0 - h, 2.0 * h) for h in _PROBE_HS] + [
+        pair for h in _PROBE_HS for s in [h / 64.0]
+        for pair in ((x0 + h + s, x0 + h - s, 2.0 * s), (x0 - h + s, x0 - h - s, 2.0 * s))]
 
 
 def derivative_limit_probe(
@@ -655,9 +648,8 @@ def derivative_limit_probe(
     happens for a nowhere differentiable deformation away from q = 1.
     """
     name = "derivative_limit_probe"
-    scales = 10
+    scales = len(_PROBE_HS)
     tol = 1e-3
-    hs = [0.05 * 2.0 ** (-m) for m in range(scales)]
     tail = max(2, scales // 3)
 
     def settled(seq: list[float]) -> tuple[bool, float]:
@@ -665,16 +657,11 @@ def derivative_limit_probe(
         return spread <= tol * (1.0 + abs(seq[-1])), spread
 
     details = {"x0": x0}
-    _fill([x for h in hs for s in [h / 64.0]
-           for x in (x0 + h, x0 - h, x0 + h + s, x0 + h - s, x0 - h + s, x0 - h - s)], g)
     with _Residuals(name, (x0,), tol) as acc:
-        direct = [(g(x0 + h) - g(x0 - h)) / (2.0 * h) for h in hs]
-        nearby_plus = []
-        nearby_minus = []
-        for h in hs:
-            s = h / 64.0
-            nearby_plus.append((g(x0 + h + s) - g(x0 + h - s)) / (2.0 * s))
-            nearby_minus.append((g(x0 - h + s) - g(x0 - h - s)) / (2.0 * s))
+        quotients = [(g(upper) - g(lower)) / step
+                     for upper, lower, step in _probe_points(x0)]
+        direct, nearby_plus, nearby_minus = (
+            quotients[:scales], quotients[scales::2], quotients[scales + 1::2])
         ok_direct, spread_direct = settled(direct)
         ok_plus, spread_plus = settled(nearby_plus)
         ok_minus, spread_minus = settled(nearby_minus)
@@ -743,11 +730,16 @@ def run_full_report(f: EntropyFamily, config: CheckConfig | None = None) -> Axio
 
     The checks share one evaluation of phi and alpha per q, memoized for
     this call only.  (replace() re-runs the family's validation, which
-    merely fills the memo at q = 1.)
+    merely stores q = 1.)  Each of the checks' q sets is then filled by one
+    array call per function.
     """
     cfg = config or CheckConfig()
     echo = f.to_spec()
     f = replace(f, phi=_Memo(f.phi), alpha=_Memo(f.alpha))
+    for qs in (_SWEEP_QS + _SEGMENT_QS, cfg.q_grid, _SHANNON_QS, REGION_Q_GRID, _LIMIT_QS):
+        f.phi.fill(qs)
+        f.alpha.fill(qs)
+    f.phi.fill([x for upper, lower, _ in _probe_points(1.3) for x in (upper, lower)])
     dists = [Distribution(p) for p in
              ((1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25, 0.25, 0.25, 0.25))]
     refinements = sample_refinement(4, 4, 60, _check_seed(cfg.seed, "additivity"))

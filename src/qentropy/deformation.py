@@ -21,7 +21,9 @@ Each kind has one evaluator, on an array of q: ``values`` evaluates a
 sequence of q in one call, and a float call is its one-element case, so
 both give the same bits.  The arithmetic is IEEE's, element by element, as
 Python floats would do it: the power kinds raise by libm pow per element,
-because numpy's SIMD power can differ from it in the last bit.
+because numpy's SIMD power can differ from it in the last bit.  A value
+beyond the float range is an EvaluationError naming q, and a table whose
+interpolation could overflow is refused when it is built.
 """
 
 from __future__ import annotations
@@ -72,9 +74,14 @@ class DeformationFunction:
             for point in self.table:
                 if not all(map(math.isfinite, point)):
                     raise InvalidFamilySpec(f"tabulated points must be finite, got {point!r}")
-            for (q0, _), (q1, _) in zip(self.table, self.table[1:]):
+            for (q0, v0), (q1, v1) in zip(self.table, self.table[1:]):
                 if not q1 > q0:
                     raise InvalidFamilySpec("tabulated q grid must be strictly increasing")
+                # bounds every intermediate of _interpolate on the segment
+                if not math.isfinite((v1 - v0) * (q1 - q0)):
+                    raise InvalidFamilySpec(
+                        f"tabulated segment from {(q0, v0)!r} to {(q1, v1)!r} "
+                        "overflows the float range")
 
     def __call__(self, q: float) -> float:
         _check_q(q)
@@ -92,7 +99,13 @@ class DeformationFunction:
     def _evaluate(self, qs: np.ndarray) -> np.ndarray:
         # Python float arithmetic raises no warning on inf or nan.
         with np.errstate(all="ignore"):
-            return _KINDS[self.kind].evaluate(self, qs)
+            values = _KINDS[self.kind].evaluate(self, qs)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = finite.argmin()
+            raise EvaluationError(f"{self.kind}({qs[i].item()!r}) = "
+                                  f"{values[i].item()!r} is not finite")
+        return values
 
     def to_spec(self) -> dict:
         """JSON-able description; the k of scaled kinds lives at family level."""
@@ -120,11 +133,18 @@ def _interpolate(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pow(x: float, y: float) -> float:
+    """x ** y by libm pow (Python's float **); inf where that overflows."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 def _signed_power(f: DeformationFunction, qs: np.ndarray) -> np.ndarray:
-    """sign(d) |d|^gamma with d = q - 1, by libm pow per element (Python's
-    float **, which raises OverflowError past the float range)."""
+    """sign(d) |d|^gamma with d = q - 1, by libm pow per element."""
     d = qs - 1.0
-    return np.copysign([abs(x) ** f.gamma for x in d.tolist()], d)
+    return np.copysign([_pow(abs(x), f.gamma) for x in d.tolist()], d)
 
 
 def tsallis_phi(k: float = 1.0) -> DeformationFunction:

@@ -55,6 +55,7 @@ from .errors import (
     NegativeEntropy,
     PhiVanishes,
     ZeroWithNonpositiveExponent,
+    _floats,
 )
 from .simplex import Distribution, _exact_sums, _scratch
 
@@ -112,8 +113,6 @@ def _phi_at(f: EntropyFamily, q: float) -> float:
         raise _vanishing_phi(q)
     if abs(phi_q) < sys.float_info.min:
         raise PhiVanishes(f"phi({q!r}) = {phi_q!r} is subnormal, an imprecise divisor")
-    if not abs(phi_q) < math.inf:
-        raise EvaluationError(f"phi({q!r}) = {phi_q!r} is not finite")
     return phi_q
 
 
@@ -233,10 +232,14 @@ def entropies(P: np.ndarray, f: EntropyFamily, q: float,
     e_q(p) = p^(1 - alpha(q)), an independent route to the generalized
     value.  At q == 1.0 every form is the Shannon value -k sum p ln p.
     Only entries p > 0 contribute, so NaN can pad ragged rows without
-    counting as a zero probability.
+    counting as a zero probability.  P must be a 2-D array; its rows are
+    not validated.
     """
     if form not in _FORMS:
         raise InputError(f"unknown form {form!r}, expected one of {_FORMS}")
+    if not isinstance(P, np.ndarray) or P.ndim != 2:
+        got = f"shape {P.shape}" if isinstance(P, np.ndarray) else type(P).__name__
+        raise InputError(f"P must be a 2-D array, got {got}")
     with np.errstate(all="ignore"):
         return _entropies(P, np.log(P), ~(P > 0.0), f, q, form)
 
@@ -302,7 +305,7 @@ def information_content(f: EntropyFamily, q: float,
     A float p gives a float.  A p outside (0, 1] is a DomainError, and a
     value that is not finite an EvaluationError naming q and the first such p.
     """
-    flat = np.asarray(p, dtype=float).reshape(-1)
+    flat = _floats(p, "p").reshape(-1)
     inside = (flat > 0.0) & (flat <= 1.0)
     if not inside.all():
         raise DomainError(f"p must be in (0, 1], got {flat[inside.argmin()].item()!r}")
@@ -325,12 +328,13 @@ def pseudoadditive_compose(f: EntropyFamily, q: float, i1: float | np.ndarray,
         i1 (+) i2 = i1 + i2 + phi(q) * i1 * i2.
 
     phi(1) = 0 makes q = 1 ordinary additivity.  A composition beyond the
-    float range is an EvaluationError naming q.
+    float range is an EvaluationError naming q.  Floats give a float.
     """
+    i1, i2 = _floats(i1, "i1"), _floats(i2, "i2")
     with np.errstate(all="ignore"):
         value = i1 + i2 + f.phi(q) * i1 * i2
     finite = np.isfinite(value)
     if not finite.all():
         first = np.ravel(value)[finite.argmin()].item()
         raise EvaluationError(f"i1 (+) i2 at q={q!r} is not finite ({first!r})")
-    return value
+    return value if np.ndim(value) else value.item()

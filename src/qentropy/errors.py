@@ -5,10 +5,13 @@ inconsistent input) and EvaluationError maps to exit code 3 (valid objects
 queried at a point where the result is undefined).  _check_q is the one
 positive-and-finite check of q and k, shared by every module that takes them;
 _check_k adds a finite 1/k to it.  A q, k or x that is not a number at all is
-an InputError, from _check_q or, for an array argument, _floats.
+an InputError, from _check_q or, for an array argument, _floats.  A number
+is an int, a float, a numpy real, a Fraction or a Decimal (_is_real); a str
+or bytes is not, even where it reads as one.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -94,11 +97,23 @@ def _check_k(k: float, label: str, error: type[Exception]) -> None:
         raise error(f"{label} must have a finite reciprocal, got {k!r}")
 
 
+def _is_real(value) -> bool:
+    """A real number: numbers.Real, or a Number that is not Complex
+    (Decimal)."""
+    return isinstance(value, numbers.Real) or (
+        isinstance(value, numbers.Number) and not isinstance(value, numbers.Complex))
+
+
 def _floats(values, label: str) -> np.ndarray:
     """values as a float64 array of their shape; InputError names label if
-    they are not a number or an array of numbers."""
+    they are not a number or an array of numbers.  Only an array of
+    Python objects (Fraction, Decimal, ints past int64) is read entry by
+    entry."""
     try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(
-            f"{label} must be a number or an array of numbers, got {values!r}") from None
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind in "biuf" or (kind == "O" and all(map(_is_real, array.flat))):
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(f"{label} must be a number or an array of numbers, got {values!r}")

@@ -35,6 +35,7 @@ from .errors import (
     NotNormalized,
     ZeroMarginal,
     ZeroSum,
+    _is_real,
 )
 
 SUM_TOL = 1e-12
@@ -166,7 +167,7 @@ def _checked_floats(values: Iterable, what: str) -> list[float]:
     floats = []
     for i, v in enumerate(values):
         try:
-            if isinstance(v, (complex, np.complexfloating)):
+            if not _is_real(v):
                 raise TypeError
             x = float(v)
         except OverflowError:

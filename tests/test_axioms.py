@@ -632,29 +632,41 @@ class TestReportMemo:
     def test_weierstrass_phi_once_per_distinct_q(self, monkeypatch):
         family = weierstrass_family()
         evaluated = {"phi": [], "alpha": []}
+        float_calls = {"phi": [], "alpha": []}
         w_calls = []
         evaluate, W_sums = DeformationFunction._evaluate, qentropy.weierstrass._W_sums
+        call = DeformationFunction.__call__
 
         def counted(func, qs):
             evaluated["alpha" if func is family.alpha else "phi"].extend(qs.tolist())
             return evaluate(func, qs)
+
+        def counted_call(func, q):
+            float_calls["alpha" if func is family.alpha else "phi"].append(q)
+            return call(func, q)
 
         def counted_W(params, xs):
             w_calls.append(len(xs))
             return W_sums(params, xs)
 
         monkeypatch.setattr(DeformationFunction, "_evaluate", counted)
+        monkeypatch.setattr(DeformationFunction, "__call__", counted_call)
         monkeypatch.setattr(qentropy.weierstrass, "_W_sums", counted_W)
         # A second report evaluates again: the memo lives for one call only.
         for _ in range(2):
-            for qs in (*evaluated.values(), w_calls):
+            for qs in (*evaluated.values(), *float_calls.values(), w_calls):
                 qs.clear()
             run_full_report(family, CheckConfig(seed=3))
             for qs in evaluated.values():
                 assert len(qs) == len(set(qs))
+            # The family's validation is the only float call; a check whose
+            # q set the report does not fill would evaluate q by q here.
+            assert float_calls == {"phi": [1.0], "alpha": [1.0]}
+            # Validation, then one W call per q set: the continuity sweeps,
+            # the grid, the Shannon offsets, the region grid, the limit q
+            # and the derivative-limit probe's points.
             assert len(evaluated["phi"]) == sum(w_calls) == 343
-            # Each check's q set is one array call.
-            assert len(w_calls) <= 15
+            assert len(w_calls) == 7 and w_calls[0] == 1
 
     def test_fill_stores_python_floats_under_float_keys(self):
         memo = _Memo(weierstrass_family().phi)
@@ -684,8 +696,20 @@ class TestReportMemo:
         overflowing = _Memo(power_family(3.0).phi)
         overflowing.fill([2.0, 1e200])
         assert overflowing.values == {}
-        with pytest.raises(OverflowError):
+        with pytest.raises(EvaluationError, match=r"^power_phi\(1e\+200\) = inf is not finite$"):
             overflowing(1e200)
+
+    def test_power_overflow_is_not_applicable(self):
+        # |q - 1|^3 at q = 1e200 is past the float range: the report raised.
+        report = run_full_report(power_family(3.0), CheckConfig(q_grid=(0.5, 1e200)))
+        reasons = {c.name: c.details["reason"] for c in report.checks
+                   if c.verdict == "not_applicable" and c.name != "phi_derivative_at_1"}
+        phi, alpha = (f"evaluation failed: power_{name}(1e+200) = {sign}inf is not finite"
+                      for name, sign in (("phi", ""), ("alpha", "-")))
+        assert reasons == {"maximality": alpha, "shannon_additivity": phi,
+                           "generalized_additivity": alpha, "pseudoadditivity": alpha}
+        assert report.check("expandability").details["off_shannon_gaps_informational"][
+            "1e+200"] == [None] * 4
 
     def test_narrow_table_reasons(self):
         narrow = EntropyFamily(tabulated([(0.5, -0.5), (2.0, 1.0)]), one_minus_q_alpha(),

@@ -142,6 +142,37 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("evaluation error:") and "q=2.0" in err
 
+    @pytest.mark.parametrize("phi,alpha,message", [
+        ({"kind": "power_phi", "gamma": 3.0}, {"kind": "one_minus_q_alpha"},
+         "power_phi(1e+200) = inf is not finite"),
+        ({"kind": "tsallis_phi"}, {"kind": "power_alpha", "gamma": 3.0},
+         "power_alpha(1e+200) = -inf is not finite"),
+    ])
+    def test_power_overflow_exits_3(self, tmp_path, capsys, phi, alpha, message):
+        # |q - 1|^3 is past the float range: a traceback and exit 1 before.
+        fam = tmp_path / "power3.json"
+        fam.write_text(json.dumps({"phi": phi, "alpha": alpha, "k": 1.0}))
+        rc = main(["eval", "--family", str(fam), "--q", "1e200", "--dist", "[0.5,0.5]"])
+        assert rc == 3
+        assert capsys.readouterr() == ("", f"evaluation error: {message}\n")
+
+    @pytest.mark.parametrize("command", [["eval", "--dist", "[0.5,0.5]"],
+                                         ["info-content", "--p", "0.5"]])
+    def test_overflowing_table_exits_2(self, tmp_path, capsys, command):
+        # alpha(1.2) overflowed to inf inside the interpolation, and
+        # info-content printed -5 with exit 0.
+        spec = {"phi": {"kind": "tsallis_phi"},
+                "alpha": {"kind": "tabulated", "points": [[0.5, -1e308], [2.0, 1e308]]},
+                "k": 1.0, "validate": False}
+        fam = tmp_path / "steep.json"
+        fam.write_text(json.dumps(spec))
+        rc = main([command[0], "--family", str(fam), "--q", "1.2", *command[1:]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: field 'alpha': tabulated segment from (0.5, -1e+308) "
+                                "to (2.0, 1e+308) overflows the float range\n")
+
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--dist", "[1.0]"],

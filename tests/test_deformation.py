@@ -2,6 +2,8 @@ import json
 import math
 import re
 from bisect import bisect_right
+from decimal import Decimal
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -26,6 +28,7 @@ from qentropy.deformation import (
 )
 from qentropy.errors import (
     DomainError,
+    EvaluationError,
     InputError,
     InvalidFamilySpec,
     InvalidWeierstrassParams,
@@ -88,10 +91,26 @@ class TestKinds:
         with pytest.raises(InputError) as err:
             func("a")
         assert str(err.value) == "q must be a number, got 'a'"
-        for qs in (["a"], [1.5, None, "a"]):
+        for qs in (["a"], [1.5, None, "a"], ["1.5"], [Fraction(3, 2), "1.5"], [b"1.5"],
+                   np.array(["1.5"]), [1.5j], [None]):
             with pytest.raises(InputError) as err:
                 func.values(qs)
             assert str(err.value) == f"q must be a number or an array of numbers, got {qs!r}"
+
+    @pytest.mark.parametrize("func", [tsallis_phi(1.0), power_phi(3.0),
+                                      weierstrass_phi(WeierstrassParams(0.5, 13))],
+                             ids=lambda func: func.kind)
+    def test_numeric_strings_are_refused_and_real_numbers_taken(self, func):
+        # values(["1.5"]) read the string as a number; the float call refused it.
+        for q in ("1.5", b"1.5"):
+            with pytest.raises(InputError, match="^q must be a number"):
+                func(q)
+            with pytest.raises(InputError, match="^q must be a number or an array"):
+                func.values([q])
+        reals = [Fraction(3, 2), Decimal("1.5"), np.float32(1.5), np.int64(3), 3]
+        expected = [func(float(q)) for q in reals]
+        assert [func(q) for q in reals] == expected
+        assert func.values(reals).tolist() == expected
 
     # Every way of building a deformation checks gamma, NaN and inf too, and
     # the parameters its kind needs.
@@ -175,10 +194,11 @@ class TestArrayEvaluators:
 
     def test_power_overflow_raises_as_the_float_call(self):
         f = power_phi(3.0)
-        with pytest.raises(OverflowError):
+        message = r"^power_phi\(1e\+200\) = inf is not finite$"
+        with pytest.raises(EvaluationError, match=message):
             f(1e200)
-        with pytest.raises(OverflowError):
-            f.values([2.0, 1e200])
+        with pytest.raises(EvaluationError, match=message):
+            f.values([2.0, 1e200, 1e300])
 
 
 class TestTabulated:
@@ -224,6 +244,26 @@ class TestTabulated:
         with pytest.raises(InvalidFamilySpec,
                            match=re.escape(f"tabulated points must be finite, got {point}")):
             build()
+
+    # (v1 - v0) * (q - q0) overflowed: q = 5 read inf, where the true value is
+    # 4.99e307, and an infinite alpha(1.2) made I_q(0.5) read -5.0.
+    @pytest.mark.parametrize("points,segment", [
+        ([(0.01, 0.0), (10.0, 1e308)], "(0.01, 0.0) to (10.0, 1e+308)"),
+        ([(0.5, -1e308), (2.0, 1e308)], "(0.5, -1e+308) to (2.0, 1e+308)"),
+        ([(0.5, 0.0), (1.0, 0.0), (3.0, 1e308), (4.0, 0.0)], "(1.0, 0.0) to (3.0, 1e+308)"),
+    ])
+    def test_refuses_segments_that_overflow(self, points, segment):
+        with pytest.raises(InvalidFamilySpec, match=re.escape(
+                f"tabulated segment from {segment} overflows the float range")):
+            tabulated(points)
+
+    def test_steep_segments_within_the_float_range(self):
+        # The product bounds every intermediate, so a table just inside it
+        # interpolates to a finite value at every q.
+        f = tabulated([(0.5, 0.0), (1.0, 1e308), (1.25, -0.7e308), (1.5, 0.0)])
+        qs = np.linspace(0.5, 1.5, 101)
+        assert np.isfinite(f.values(qs)).all()
+        assert f(0.75) == 5e307
 
 
 class TestTsallisFamily:

@@ -1,5 +1,6 @@
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -106,7 +107,8 @@ class TestSuyari:
                      lambda: generalized_entropy(d, f, 1e5),
                      lambda: suyari_entropy(d, f, 1e5),
                      lambda: trace_expectation(d, f, 1e5)):
-            with pytest.raises(EvaluationError, match=r"^phi\(100000.0\) = inf is not finite$"):
+            with pytest.raises(EvaluationError,
+                               match=r"^tsallis_phi\(100000.0\) = inf is not finite$"):
                 call()
 
 
@@ -207,6 +209,19 @@ def test_entropies_rejects_unknown_form():
         entropies(Distribution((0.5, 0.5)).array[None], TSALLIS, 2.0, "tsallis")
 
 
+# A list raised TypeError and a 1-D array IndexError; the rows of a 2-D
+# array stay the caller's to validate.
+@pytest.mark.parametrize("P,got", [
+    ([[0.5, 0.5]], "list"),
+    (np.array([0.5, 0.5]), "shape (2,)"),
+    (np.array(1.0), "shape ()"),
+    (np.ones((1, 1, 2)) / 2, "shape (1, 1, 2)"),
+])
+def test_entropies_refuses_what_is_not_a_2d_array(P, got):
+    with pytest.raises(InputError, match=re.escape(f"P must be a 2-D array, got {got}")):
+        entropies(P, TSALLIS, 2.0)
+
+
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.0 + 1e-6, 2.0])
 @pytest.mark.parametrize("probs", [(1.0,), (1.0, 0.0)])
 def test_certainty_is_positive_zero(probs, q):
@@ -274,6 +289,16 @@ class TestInformationContent:
             information_content(family, q, _among_ordinary(p) if as_array else p)
         assert f"q={q!r}" in str(info.value) and f"p={p!r}" in str(info.value)
 
+    def test_numbers_but_no_strings(self):
+        # "0.5" read as its number and gave 1.0.
+        for p in ("0.5", b"0.5", ["0.5"], np.array(["0.5"])):
+            with pytest.raises(InputError, match="^p must be a number or an array"):
+                information_content(TSALLIS, 2.0, p)
+        value = information_content(TSALLIS, 2.0, 0.5)
+        for p in (Fraction(1, 2), Decimal("0.5"), np.float32(0.5)):
+            assert information_content(TSALLIS, 2.0, p) == value
+        assert information_content(TSALLIS, 2.0, [Fraction(1, 2), 1]).tolist() == [value, 0.0]
+
     @pytest.mark.parametrize("as_array", [False, True])
     def test_overflowing_numerator_with_finite_quotient(self, as_array):
         # p^alpha = 2^1074 overflows expm1, but phi = 1e300 brings the
@@ -326,6 +351,15 @@ class TestPseudoadditiveCompose:
 
     def test_plain_additivity_at_q1(self):
         assert pseudoadditive_compose(TSALLIS, 1.0, 2.0, 3.0) == 5.0
+
+    def test_numbers_but_no_strings(self):
+        # Two strings raised TypeError from the arithmetic.
+        for i1, i2 in (("1", "2"), (1.0, "2"), ([1.0], [b"2"])):
+            with pytest.raises(InputError, match="^i[12] must be a number or an array"):
+                pseudoadditive_compose(TSALLIS, 2.0, i1, i2)
+        value = pseudoadditive_compose(TSALLIS, 2.0, Fraction(1), Decimal(2))
+        assert type(value) is float and value == 5.0
+        assert pseudoadditive_compose(TSALLIS, 2.0, [1, 2], 2).tolist() == [5.0, 8.0]
 
     def test_closure_property(self):
         # I(p1 p2) must equal the composition for random pairs in (0, 1].

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +105,11 @@ _MALFORMED = [
     ([0.5, np.complex128(0.5)], InputError,
      f"distribution entry 1 is not a real number: {np.complex128(0.5)!r}"),
     ([0.5, "abc"], InputError, "distribution entry 1 is not a real number: 'abc'"),
+    # A numeric string was read as its number.
+    (["0.5", "0.5"], InputError, "distribution entry 0 is not a real number: '0.5'"),
+    ([0.5, b"0.5"], InputError, "distribution entry 1 is not a real number: b'0.5'"),
+    (np.array(["0.5", "0.5"]), InputError,
+     f"distribution entry 0 is not a real number: {np.str_('0.5')!r}"),
     ([10**401, 1], InputError, "distribution entry 0 is beyond the float range"),
     ([NAN, None], InputError, "distribution entry 0 is not finite: nan"),
     ([-1.0, None], NegativeEntry, "distribution entry 0 is negative: -1.0"),
@@ -152,6 +159,11 @@ class TestValidationErrors:
     def test_array_and_generator_input_accepted(self):
         for values in (np.array([2.0, 1.0, 1.0]), (v for v in (2, 1, 1))):
             assert make_distribution(values, "normalize").probs == (0.5, 0.25, 0.25)
+
+    def test_fraction_decimal_and_numpy_reals_accepted(self):
+        values = [Fraction(1, 2), Decimal("0.25"), np.float32(0.25)]
+        assert Distribution(values).probs == (0.5, 0.25, 0.25)
+        assert Refinement(((0.5,), values[1:])).rows == ((0.5,), (0.25, 0.25))
 
     def test_sum_checks_after_entry_checks(self):
         assert _refusal(lambda: make_distribution([0.0, 0.0], "normalize")) == (

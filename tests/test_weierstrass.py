@@ -286,6 +286,13 @@ class TestProbe:
          "q must be a number or an array of numbers, got 'a'"),
         (lambda: eval_phi_counterexample(P_DEFAULT, 1.0, [1.5, "a"]),
          "q must be a number or an array of numbers, got [1.5, 'a']"),
+        # A numeric string was read as its number: W("0.25") gave 0.4714.
+        (lambda: eval_W(P_DEFAULT, "0.25"),
+         "x must be a number or an array of numbers, got '0.25'"),
+        (lambda: eval_W(P_DEFAULT, [0.5, b"0.25"]),
+         "x must be a number or an array of numbers, got [0.5, b'0.25']"),
+        (lambda: eval_phi_counterexample(P_DEFAULT, 1.0, "1.5"),
+         "q must be a number or an array of numbers, got '1.5'"),
     ])
     def test_refusals_are_input_errors(self, call, message):
         with pytest.raises(InputError) as err:
