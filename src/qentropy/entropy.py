@@ -11,9 +11,10 @@ Every entropy route runs through one array kernel, entropies(P, f, q, form),
 over the rows of a 2-D array: phi(q) and alpha(q) are evaluated once, the
 terms element-wise in numpy, and each row summed exactly rounded (math.fsum's
 result).  The exact sum makes a row's value independent of the batch it was
-computed in.  The single-distribution functions are 1-row calls that take
-ln p and the positions of the zeros from the Distribution, which computes
-them once, so each call repeats only the work that depends on q.  One
+computed in.  The single-distribution functions are 1-row calls over the
+Distribution's support, its positive entries and one zero for all of its
+zeros, with their ln p, which it computes once: each call repeats only
+the work that depends on q, and none on the entries that drop out.  One
 element-wise kernel likewise gives information content I_q(p) =
 expm1(alpha(q) ln p) / phi(q), to information_content (a float or an
 array p) and to the trace route, which weights it by p^(1 - alpha(q)).
@@ -248,7 +249,7 @@ def _entropies(P: np.ndarray, log: np.ndarray, outside, f: EntropyFamily, q: flo
                form: str) -> list[float]:
     """entropies() given its q-independent inputs, under
     np.errstate(all="ignore"): log = ln P, and outside, an index of the
-    entries of P that are not > 0 (a mask, or the columns of the zeros)."""
+    entries of P that are not > 0 (a mask, or a slice of trailing columns)."""
     if q == 1.0:
         # e_1(p) = p and I_1(p) = -k ln p: every form is the Shannon sum.
         terms = np.multiply(log, P, out=_scratch(0, P.shape))
@@ -261,9 +262,14 @@ def _entropies(P: np.ndarray, log: np.ndarray, outside, f: EntropyFamily, q: flo
 
 
 def _entropy_of(d: Distribution, f: EntropyFamily, q: float, form: str) -> EntropyValue:
-    """S_q of one distribution, from the ln p and zero positions it caches."""
+    """S_q of one distribution, from the support it caches: its m positive
+    entries and, if it has a zero, one 0.0 after them, which stands for every
+    zero.  Every value keeps the bits of the full row: an entry's terms do
+    not depend on where it sits, a zero's term is exactly 0, which the exact
+    row sum ignores, and the one zero still meets an exponent <= 0."""
+    P, log, m = d.support
     with np.errstate(all="ignore"):
-        value = _entropies(d.array[None], d.log[None], (slice(None), d.zeros), f, q, form)[0]
+        value = _entropies(P, log, (slice(None), slice(m, None)), f, q, form)[0]
     return EntropyValue(value, q)
 
 

@@ -10,10 +10,11 @@ the entries as given.  make_distribution divides by the actual sum, so its
 entries are exactly proportional to the input.
 
 A Distribution keeps its entries in one read-only float64 array, validated
-in numpy; the tuple `probs` is built only when asked for.  So are the two
-inputs that every S_q evaluation of it shares, ln p and the positions of
-its zero entries.  Every sum here, and every row sum of the entropy kernel,
-is exactly rounded: math.fsum's result, from _exact_sums.
+in numpy; the tuple `probs` is built only when asked for.  So is `support`,
+the input that every S_q evaluation of it shares: its positive entries in
+order, one zero standing for all of its zeros, and their ln p.  Every sum
+here, and every row sum of the entropy kernel, is exactly rounded:
+math.fsum's result, from _exact_sums.
 
 Sampling is uniform on the simplex (flat Dirichlet) via the exponential
 spacings construction and is deterministic for a fixed seed.
@@ -58,10 +59,12 @@ def _fsum(values: Iterable[float]) -> float:
 # temporaries: 0 the term array, 1 the trace route's weight, 2 the extraction
 # segment.  A new array of 10^5 entries is 800 KB, which glibc maps and then
 # hands back to the operating system when it is freed, so every call faulted
-# its pages in again, ~200 minor faults per 10^5-entry call.  A slot grows to the
-# largest request up to _SCRATCH entries (1 MiB) and is kept; a larger
-# request gets a new array.  A slot's contents last only until the next
-# request for it in the same thread, so no result is ever a view of one.
+# its pages in again, ~200 minor faults per 10^5-entry call.  A slot grows to
+# the power of two at or above a larger request, up to _SCRATCH entries
+# (1 MiB), and is kept, so rows of slightly different lengths share it; a
+# request past _SCRATCH gets a new array.  A slot's contents last only until
+# the next request for it in the same thread, so no result is ever a view of
+# one.
 _SCRATCH = 1 << 17
 _slots = threading.local()
 
@@ -77,7 +80,7 @@ def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:
     except AttributeError:
         arrays = _slots.arrays = [np.empty(0)] * 3
     if arrays[slot].size < size:
-        arrays[slot] = np.empty(size)
+        arrays[slot] = np.empty(1 << (size - 1).bit_length())
     return arrays[slot][:size].reshape(shape)
 
 
@@ -288,17 +291,21 @@ class Distribution:
         return tuple(self.array.tolist())
 
     @cached_property
-    def log(self) -> np.ndarray:
-        """ln p of each entry, -inf at a zero: read-only, computed on first
-        use and shared by every S_q evaluation."""
+    def support(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(P, ln P, m), the entropy kernel's input, computed on first use and
+        shared by every S_q evaluation: P is a read-only 1-row array of the m
+        positive entries in their order, followed by a single 0.0 if any
+        entry is zero; with no zero it is `array` itself, not a copy."""
+        positive = self.array > 0.0
+        m = int(np.count_nonzero(positive))
+        entries = self.array
+        if m < len(entries):
+            entries = np.empty(m + 1)
+            entries[:m] = self.array[positive]
+            entries[m] = 0.0
+            _read_only(entries)
         with np.errstate(divide="ignore"):
-            return _read_only(np.log(self.array))
-
-    @cached_property
-    def zeros(self) -> np.ndarray:
-        """The indices of the zero entries, ascending: read-only, computed
-        on first use."""
-        return _read_only(np.flatnonzero(self.array == 0.0))
+            return entries[None], _read_only(np.log(entries))[None], m
 
     def __len__(self) -> int:
         return len(self.array)

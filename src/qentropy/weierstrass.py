@@ -57,6 +57,10 @@ AB_LOWER_BOUND = 1.0 + 1.5 * math.pi
 # Points per block of an array evaluation, which bounds its (points x terms)
 # temporaries: a long CLI --range is never reduced all at once.
 _BLOCK = 128
+# The most series terms a WeierstrassParams takes, so that each (points x
+# terms) temporary of a block is at most 4 MiB: a near 1 with a tiny eps
+# would otherwise need millions of terms.  The defaults take 41.
+MAX_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,8 @@ class WeierstrassParams:
     term_count (series terms K+1 with tail a^(K+1)/(1-a) <= eps), the
     per-term weights a^k and multipliers b^k mod 2^64, and w0 (the truncated
     W(0)) are derived once, after validation; they take no part in
-    equality, hashing or repr.
+    equality, hashing or repr.  A series that needs more than MAX_TERMS
+    terms is refused.
     """
 
     a: float
@@ -91,7 +96,17 @@ class WeierstrassParams:
             )
         if not self.eps > 0.0:
             raise InvalidWeierstrassParams(f"eps must be > 0, got {self.eps!r}")
+        # The count in closed form, the least count >= 1 with a^count/(1-a)
+        # <= eps, is refused past MAX_TERMS before any term is built; the
+        # loop's running product rounds, so its count may differ by one.
         # Only validated parameters get here: 0 < a < 1 ends the loop.
+        estimate = math.ceil(max(1.0, (math.log(self.eps) + math.log1p(-self.a))
+                                 / math.log(self.a)))
+        if estimate > MAX_TERMS:
+            raise InvalidWeierstrassParams(
+                f"a={self.a!r} with eps={self.eps!r} needs {estimate} series terms, "
+                f"more than {MAX_TERMS}"
+            )
         count = 1
         tail = self.a / (1.0 - self.a)
         while tail > self.eps:

@@ -31,7 +31,9 @@ A last line gives the minor page faults (ru_minflt) per steady-state call of
 generalized_entropy and of trace_expectation on a 10^5-entry distribution,
 called in turn over a q grid.  Their count depends on the C library's allocator, so it is
 printed, not checked; with the kernel's per-thread scratch it reads 0 on
-glibc.
+glibc.  A line after it gives the median and the interquartile range, in
+milliseconds, of one call of each on the same distribution: 15 timings of
+a pass over the q grid, each divided by the grid's length.
 
 Compare the listing with another tree's to see what a change to the sum
 costs, input class by input class; nothing is checked.  Run the two trees
@@ -105,6 +107,18 @@ def _faults_per_call(d, f) -> list[float]:
     return [n / (3 * len(Q_GRID)) for n in faults]
 
 
+def _call_costs(d, f) -> list[tuple[float, float]]:
+    """Median and interquartile range, in seconds, of one call of each route
+    at the q of the grid in turn."""
+    costs = []
+    for entropy in (generalized_entropy, trace_expectation):
+        times = [t / len(Q_GRID) for t in timeit.repeat(
+            lambda: [entropy(d, f, q) for q in Q_GRID], number=1, repeat=15)]
+        low, median, high = statistics.quantiles(times, n=4)
+        costs.append((median, high - low))
+    return costs
+
+
 for shape in ((240, 4), (201, 3), (60, 15)):
     _time(f"short {shape[0]}x{shape[1]}", _typical(np.random.default_rng(shape[0]), shape))
 for n in (1024, 10_000, 100_000):
@@ -115,7 +129,9 @@ for n in (1024, 10_000, 100_000):
                                    ("narrow", _narrow, 200_000)):
             label = name if rows == 1 else f"{name} x{rows}"
             _time(f"{label:<12} n={n:<7}", make(np.random.default_rng(n), (rows, n)), budget)
-generalized, trace = _faults_per_call(
-    make_distribution(_typical(np.random.default_rng(0), (1, 100_000))[0], "normalize"),
-    tsallis_family())
+typical = make_distribution(_typical(np.random.default_rng(0), (1, 100_000))[0], "normalize")
+generalized, trace = _faults_per_call(typical, tsallis_family())
 print(f"minor faults per call, n=100000: generalized {generalized:.1f}, trace {trace:.1f}")
+(generalized, g_iqr), (trace, t_iqr) = _call_costs(typical, tsallis_family())
+print(f"ms per call, n=100000: generalized {generalized * 1e3:.3f} IQR {g_iqr * 1e3:.3f}, "
+      f"trace {trace * 1e3:.3f} IQR {t_iqr * 1e3:.3f}")

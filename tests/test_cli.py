@@ -260,7 +260,11 @@ def test_malformed_number_exits_2(tsallis_file, tmp_path, capsys, argv, message)
 
 # Refusals of the CLI's own checks, each with its message: the placeholders
 # name a Tsallis family file, one that is not JSON, one with an unknown
-# field, and a distribution file that does not exist.
+# field, a distribution file that does not exist, and a Weierstrass family
+# whose series would need more terms than WeierstrassParams takes.
+_LONG_SERIES = "a=0.999 with eps=1e-300 needs 697335 series terms, more than 4096"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["eval", "--family", "TSALLIS", "--q", "2", "--dist", "MISSING"],
      "error: distribution file not found: "),
@@ -280,14 +284,22 @@ def test_malformed_number_exits_2(tsallis_file, tmp_path, capsys, argv, message)
     (["axioms", "--family", "TSALLIS", "--samples", "0"], "error: --samples must be >= 1"),
     (["counterexample", "--depth", "1"], "error: --depth must be >= 2"),
     (["counterexample", "--k", "1e-320"], "error: --k must have a finite reciprocal, got 1e-320"),
+    (["eval", "--family", "LONG_SERIES", "--q", "2", "--dist", "[0.5,0.5]"],
+     f"error: field 'phi': {_LONG_SERIES}"),
+    (["axioms", "--family", "LONG_SERIES"], f"error: field 'phi': {_LONG_SERIES}"),
+    (["counterexample", "--a", "0.999", "--eps", "1e-300"], f"error: {_LONG_SERIES}"),
+    (["weierstrass", "--a", "0.999", "--eps", "1e-300", "--x", "0.5"], f"error: {_LONG_SERIES}"),
 ])
 def test_refused_input_exits_2(tsallis_file, tmp_path, capsys, argv, message):
     not_json = tmp_path / "not.json"
     not_json.write_text("{phi: tsallis}")
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps(dict(TSALLIS_SPEC, validat=False)))
+    long_series = tmp_path / "long_series.json"
+    long_series.write_text(json.dumps(dict(WEIERSTRASS_SPEC, phi=dict(
+        WEIERSTRASS_SPEC["phi"], a=0.999, eps=1e-300))))
     files = {"TSALLIS": tsallis_file, "NOT_JSON": str(not_json), "UNKNOWN_FIELD": str(unknown),
-             "MISSING": str(tmp_path / "missing.json")}
+             "MISSING": str(tmp_path / "missing.json"), "LONG_SERIES": str(long_series)}
     out = tmp_path / "out"
     argv = [files.get(a, a) for a in argv]
     rc = main(argv + ([] if argv[0] == "eval" else ["--output", str(out)]))

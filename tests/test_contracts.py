@@ -60,10 +60,11 @@ _FIELDS = {
     "gamma": _POSITIVE,
     "points": _KNOTS.flatmap(lambda qs: st.lists(
         _VALUE, min_size=len(qs), max_size=len(qs)).map(lambda vs: list(zip(qs, vs)))),
-    # Series parameters with at most a few hundred terms; invalid ones are refused.
-    "a": st.floats(min_value=0.01, max_value=0.95),
+    # Series parameters up to and past the MAX_TERMS bound (a = 0.95 with
+    # eps = 5e-324 needs 14,572 terms); invalid ones are refused.
+    "a": st.one_of(st.floats(min_value=0.01, max_value=0.95), st.just(0.95)),
     "b": st.integers(1, 49).map(lambda n: 2 * n + 1),
-    "eps": st.floats(min_value=1e-15, max_value=1e-3),
+    "eps": st.one_of(st.floats(min_value=5e-324, max_value=1e-3), st.just(5e-324)),
 }
 
 

@@ -587,3 +587,80 @@ def test_information_content_outlives_later_calls():
         for route in _ROUTES:
             route(d, f, q)
     assert np.array_equal(values.view(np.int64), kept.view(np.int64))
+
+
+def _support_cases():
+    """Distributions of 1,023, 1,024, 1,025 and 10^5 entries, on both sides
+    of _LONG_ROW: with no zero, with 10% zeros, with 10% zeros and
+    subnormal entries, and with one nonzero entry."""
+    rng = np.random.default_rng(25)
+    for n in (_LONG_ROW - 1, _LONG_ROW, _LONG_ROW + 1, 100_000):
+        values = rng.standard_exponential(n)
+        yield f"no zero, n={n}", make_distribution(values, "normalize")
+        values[rng.random(n) < 0.1] = 0.0
+        d = make_distribution(values, "normalize")
+        yield f"10% zeros, n={n}", d
+        tiny = d.array.copy()
+        tiny[np.flatnonzero(tiny == 0.0)[:3]] = (5e-324, 1e-310, 2.5e-320)
+        yield f"subnormals, n={n}", Distribution(tiny)
+        one = np.zeros(n)
+        one[rng.integers(n)] = 1.0
+        yield f"one nonzero, n={n}", Distribution(one)
+
+
+def _value_or_error(call):
+    try:
+        return call()[0].hex()
+    except EvaluationError as exc:
+        return type(exc)
+
+
+def test_support_route_equals_the_full_row_bit_for_bit():
+    """A 1-row call runs over the distribution's support, its positive
+    entries and one zero for all of its zeros; it gives what entropies()
+    gives on the full row, bit for bit, on every route and at every q of
+    the sweep.  Where the exponent is <= 0 (alpha = 1.5 or 1), a
+    distribution with zeros raises ZeroWithNonpositiveExponent on both."""
+    families = [(kind, _family(kind, 0.5, 1.0)) for kind in ("tsallis", "power", "weierstrass")]
+    families += [(f"alpha={gamma}", _family("constant_alpha", gamma, 1.0))
+                 for gamma in (1.5, 1.0)]
+    forms = (("generalized", generalized_entropy), ("suyari", suyari_entropy),
+             ("trace", trace_expectation))
+    for case, d in _support_cases():
+        zeros = bool((d.array == 0.0).any())
+        for kind, f in families:
+            for q in _SWEEP_Q:
+                for form, route in forms:
+                    single = _value_or_error(lambda: [route(d, f, q).value])
+                    full = _value_or_error(lambda: entropies(d.array[None], f, q, form))
+                    assert single == full, (case, kind, q, form)
+                    if zeros and form != "suyari" and q != 1.0 and 1.0 - f.alpha(q) <= 0.0:
+                        assert single is ZeroWithNonpositiveExponent, (case, kind, q, form)
+
+
+def test_scratch_slot_grows_to_a_power_of_two():
+    """Requests of 90,001, 90,050 and 10^5 entries in a new thread take one
+    slot array of 2^17 entries; a request past _SCRATCH takes a new array,
+    so a thread keeps at most 2.25 MiB: two slots of _SCRATCH entries and
+    the extraction segment's slot of _BLOCK."""
+    found = {}
+
+    def run() -> None:
+        slots = []
+        for n in (90_001, 90_050, 100_000):
+            assert simplex._scratch(0, (1, n)).shape == (1, n)
+            slots.append(simplex._slots.arrays[0])
+        found["slots"] = slots
+        past = simplex._scratch(1, (1, simplex._SCRATCH + 1))
+        found["shared"] = any(np.shares_memory(past, a) for a in simplex._slots.arrays)
+        simplex._scratch(1, (1, simplex._SCRATCH))
+        simplex._scratch(2, (1, _BLOCK))
+        found["bytes"] = sum(a.nbytes for a in simplex._slots.arrays)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    slots = found["slots"]
+    assert all(slot is slots[0] for slot in slots) and slots[0].size == 2**17
+    assert found["shared"] is False
+    assert found["bytes"] <= 2.25 * 2**20

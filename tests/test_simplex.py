@@ -226,11 +226,13 @@ class TestStorage:
 
     def test_arrays_are_read_only(self):
         d = make_distribution([2.0, 0.0, 1.0, 1.0, 0.0], "normalize")
+        P, log, m = d.support
+        # The positive entries in order, then one zero for both zeros.
+        assert P.tolist() == [[0.5, 0.25, 0.25, 0.0]] and m == 3
         with np.errstate(divide="ignore"):
-            assert d.log.tolist() == np.log(d.array).tolist()
-        assert d.log[1] == -math.inf
-        assert d.zeros.tolist() == [1, 4]
-        for array in (d.array, d.log, d.zeros):
+            assert log.tolist() == np.log(P).tolist()
+        assert log[0, 3] == -math.inf
+        for array in (d.array, P, log):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -238,10 +240,17 @@ class TestStorage:
             d.probs = (1.0,)
         with pytest.raises(AttributeError):
             d.array = np.ones(1)
-        for name in ("array", "probs", "log", "zeros"):
+        for name in ("array", "probs", "support"):
             with pytest.raises(AttributeError):
                 delattr(d, name)
         assert d.probs == (0.5, 0.0, 0.25, 0.25, 0.0)
+
+    def test_support_without_a_zero_is_the_array_itself(self):
+        d = make_distribution([2.0, 1.0, 1.0], "normalize")
+        P, log, m = d.support
+        assert m == 3 and P.base is d.array
+        assert log.tolist() == np.log(P).tolist() and not log.flags.writeable
+        assert d.support is d.support
 
 
 class TestRefinement:

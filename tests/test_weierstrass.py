@@ -8,6 +8,7 @@ import pytest
 from qentropy.errors import InputError, InvalidWeierstrassParams
 from qentropy.weierstrass import (
     AB_LOWER_BOUND,
+    MAX_TERMS,
     WeierstrassParams,
     difference_quotients,
     eval_phi_counterexample,
@@ -80,6 +81,18 @@ class TestParams:
         # a >= 1 or eps <= 0 would never end the term-count loop.
         with pytest.raises(InvalidWeierstrassParams):
             WeierstrassParams(a, b, eps)
+
+    def test_refuses_a_series_past_the_term_bound(self):
+        # a^K/(1-a) <= 1e-300 needs 697,335 terms at a = 0.999; the count is
+        # computed in closed form and refused before a term is built.
+        with pytest.raises(InvalidWeierstrassParams,
+                           match=r"a=0\.999 with eps=1e-300 needs 697335 series terms, "
+                                 r"more than 4096"):
+            WeierstrassParams(0.999, 13, 1e-300)
+
+    @pytest.mark.parametrize("a,eps,count", [(0.9, 1e-180, 3956), (0.5, 5e-324, 1075)])
+    def test_term_counts_under_the_bound_are_built(self, a, eps, count):
+        assert WeierstrassParams(a, 13, eps).term_count == count <= MAX_TERMS
 
     def test_derived_fields(self):
         assert P_DEFAULT.w0 == eval_W(P_DEFAULT, 0.0)
